@@ -85,7 +85,8 @@ def _cmd_solve(args) -> int:
     print(f"objective: {sol.objective:.8g}")
     print(
         f"iterations: {sol.iterations}  converged: {sol.converged}  "
-        f"primal: {sol.primal_residual:.3g}  dual: {sol.dual_residual:.3g}"
+        f"primal: {sol.primal_residual:.3g}  dual: {sol.dual_residual:.3g}  "
+        f"gap: {sol.gap:.3g}"
     )
     print(
         f"kkt: mu={report.mu_hat:.8g}  stationarity={report.stationarity_residual:.3g}  "

@@ -109,6 +109,25 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
+def _simplex_threshold(u: np.ndarray) -> float:
+    """Shift theta with max(v - theta, 0) on the simplex; u is v sorted descending.
+
+    theta = (u_1 + ... + u_k - 1) / k for the last k with u_k > theta_k.
+    A scalar loop: at the sizes used here numpy's per-call overhead costs
+    more than the arithmetic, and the running sum matches np.cumsum.
+    """
+    css = 0.0
+    theta = None
+    for k, uk in enumerate(u.tolist(), 1):
+        css += uk
+        t = (css - 1.0) / k
+        if uk - t > 0:
+            theta = t
+    if theta is None:
+        raise ValueError("no simplex threshold: entries too large to project")
+    return theta
+
+
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the probability simplex.
 
@@ -120,18 +139,14 @@ def project_simplex(v) -> np.ndarray:
         raise ValueError("expected a nonempty 1-d vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    u = np.sort(v, kind="stable")[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    positive = u - (css - 1.0) / ks > 0
-    k = int(ks[positive][-1])
-    theta = (css[k - 1] - 1.0) / k
+    theta = _simplex_threshold(np.sort(v, kind="stable")[::-1])
     return np.maximum(v - theta, 0.0)
 
 
 def _project_spectrahedron_arr(b: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(b)
-    w = project_simplex(vals)
+    # eigh returns the eigenvalues ascending, so no sort is needed
+    w = np.maximum(vals - _simplex_threshold(vals[::-1]), 0.0)
     x = (vecs * w) @ vecs.T
     return 0.5 * (x + x.T)
 
@@ -147,8 +162,14 @@ def project_spectrahedron(a: SymMatrix) -> SymMatrix:
     return SymMatrix(_project_spectrahedron_arr(a.a))
 
 
-def _soft_threshold_arr(b: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(b) * np.maximum(np.abs(b) - t, 0.0)
+def _soft_threshold_arr(b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """sign(b) * max(|b| - t, 0), and the magnitudes max(|b| - t, 0)."""
+    mag = np.abs(b)
+    mag -= t
+    np.maximum(mag, 0.0, out=mag)
+    y = np.sign(b)
+    y *= mag
+    return y, mag
 
 
 def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
@@ -157,4 +178,4 @@ def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
         a = SymMatrix(a)
     if not np.isfinite(t) or t < 0:
         raise ValueError("threshold must be a nonnegative finite real")
-    return SymMatrix(_soft_threshold_arr(a.a, float(t)))
+    return SymMatrix(_soft_threshold_arr(a.a, float(t))[0])

@@ -105,7 +105,12 @@ def criterion(
 
 @dataclass(frozen=True)
 class TuningTrace:
-    """Grid search record; grid is stored in ascending order."""
+    """Grid search record; grid is stored in ascending order.
+
+    `converged`, `iterations` and `gaps` hold each grid point's solve
+    diagnostics, aligned with `grid`; a rho = 0 point reports the baseline
+    solve.
+    """
 
     grid: tuple[float, ...]
     criteria: tuple[float, ...]
@@ -114,6 +119,9 @@ class TuningTrace:
     supports: tuple[frozenset, ...]
     explained: tuple[float, ...]
     baseline: float
+    converged: tuple[bool, ...]
+    iterations: tuple[int, ...]
+    gaps: tuple[float, ...]
 
     @property
     def chosen_support(self) -> frozenset:
@@ -151,6 +159,7 @@ def tune_rho(
     criteria = []
     supports = []
     explained = []
+    diagnostics = []
     prev = base_sol
     for rho in grid:
         sol = (
@@ -159,11 +168,13 @@ def tune_rho(
             else solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=prev)
         )
         prev = sol
+        diagnostics.append((sol.converged, sol.iterations, sol.gap))
         expl = _explained(m.a, sol.x_hat.a)
         criteria.append(_criterion_value(expl, baseline, len(sol.support), m.dim, a))
         supports.append(sol.support)
         explained.append(expl)
 
+    converged, iterations, gaps = zip(*diagnostics)
     best = 0
     for k in range(1, len(grid)):
         if criteria[k] >= criteria[best]:
@@ -176,6 +187,9 @@ def tune_rho(
         supports=tuple(supports),
         explained=tuple(explained),
         baseline=baseline,
+        converged=converged,
+        iterations=iterations,
+        gaps=gaps,
     )
 
 

@@ -40,6 +40,7 @@ class TestSolve:
         assert code == 0
         assert "support:" in captured
         assert "converged: True" in captured
+        assert "gap: " in captured
 
     def test_strict_nonconverged_exit_code(self, instance_files):
         out, _, _ = instance_files

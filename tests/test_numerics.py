@@ -148,6 +148,11 @@ class TestProjectSimplex:
             assert p.min() >= 0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_entries_beyond_float_resolution_rejected(self):
+        # u_1 - (u_1 - 1) rounds to 0, so no threshold exists in floating point
+        with pytest.raises(ValueError):
+            project_simplex([1e20, 0.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([]))

@@ -1,17 +1,115 @@
 """Penalized spectrahedron solver, KKT diagnostics, witness certificate."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spcarec.graph import ObservationGraph, random_graph
-from spcarec.numerics import SymMatrix, eigh
+from spcarec.numerics import SymMatrix, eigh, project_simplex, project_spectrahedron
 from spcarec.sdp import (
+    DEFAULT_TOL,
     kkt_report,
     solve_restricted,
     solve_sdp,
     support_of,
     witness_certificate,
 )
+
+
+# Reference implementation: the straightforward form of the ADMM loop and
+# the projections, kept here to pin the solver's iterates bit for bit.
+
+
+def _reference_project_simplex(v):
+    u = np.sort(v, kind="stable")[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, v.size + 1)
+    positive = u - (css - 1.0) / ks > 0
+    k = int(ks[positive][-1])
+    theta = (css[k - 1] - 1.0) / k
+    return np.maximum(v - theta, 0.0)
+
+
+def _reference_project_spectrahedron(b):
+    vals, vecs = np.linalg.eigh(b)
+    w = _reference_project_simplex(vals)
+    x = (vecs * w) @ vecs.T
+    return 0.5 * (x + x.T)
+
+
+def _frob(a):
+    return float(np.linalg.norm(a))
+
+
+def _reference_admm(m, rho, tol, max_iter, state=None):
+    d = m.shape[0]
+    if state is None:
+        x = np.eye(d) / d
+        y = x.copy()
+        u = np.zeros((d, d))
+        beta = 1.0
+    else:
+        x, y, u, beta = state
+        x, y, u = x.copy(), y.copy(), u.copy()
+    merit = []
+    rn = sn = math.inf
+    converged = False
+    iterations = 0
+    hold = 0
+    for iterations in range(1, max_iter + 1):
+        x = _reference_project_spectrahedron(y - u + m / beta)
+        y_old = y
+        b = x + u
+        y = np.sign(b) * np.maximum(np.abs(b) - rho / beta, 0.0)
+        u = u + x - y
+        r = _frob(x - y)
+        s = beta * _frob(y - y_old)
+        rn = r / max(1.0, _frob(x), _frob(y))
+        sn = s / max(1.0, beta * _frob(u))
+        merit.append(
+            -float((m * x).sum())
+            + rho * float(np.abs(y).sum())
+            + 0.5 * beta * _frob(x - y + u) ** 2
+            - 0.5 * beta * _frob(u) ** 2
+        )
+        if max(rn, sn) <= tol:
+            hold += 1
+            if hold >= 50:
+                converged = True
+                break
+        else:
+            hold = 0
+        if max(rn, sn) >= 100.0 * tol:
+            if rn > 10.0 * sn and beta < 1e6:
+                beta *= 2.0
+                u /= 2.0
+            elif sn > 10.0 * rn and beta > 1e-6:
+                beta /= 2.0
+                u *= 2.0
+    x_hat = 0.5 * (x + x.T)
+    return {
+        "x_hat": x_hat,
+        "objective": float((m * x_hat).sum()) - rho * float(np.abs(x_hat).sum()),
+        "iterations": iterations,
+        "primal_residual": rn,
+        "dual_residual": sn,
+        "converged": converged,
+        "merit_history": np.asarray(merit),
+        "z_dual": np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None,
+        "state": (x, y, u, beta),
+    }
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_weak_duality(sol):
+    assert sol.gap >= -1e-10 * max(1.0, abs(sol.objective))
 
 
 def _complete_with_loops(n):
@@ -68,6 +166,9 @@ class TestSolveSdp:
             sol = solve_sdp(m, float(rng.uniform(0, 0.8)))
             assert np.linalg.eigvalsh(sol.x_hat.a)[0] >= -1e-6
             assert abs(np.trace(sol.x_hat.a) - 1.0) <= 1e-6
+            _assert_weak_duality(sol)
+            if sol.converged:
+                assert sol.gap <= 10 * DEFAULT_TOL * max(1.0, abs(sol.objective))
 
     def test_rank_one_accuracy(self):
         rng = np.random.default_rng(21)
@@ -77,6 +178,9 @@ class TestSolveSdp:
             u1 = eigh(m).vectors[:, 0]
             sol = solve_sdp(m, 0.0)
             assert np.linalg.norm(sol.x_hat.a - np.outer(u1, u1)) <= 1e-3
+            _assert_weak_duality(sol)
+            if sol.converged:
+                assert sol.gap <= 10 * DEFAULT_TOL * max(1.0, abs(sol.objective))
 
     def test_merit_tail_flat(self):
         rng = np.random.default_rng(22)
@@ -92,6 +196,7 @@ class TestSolveSdp:
         sol = solve_sdp(SymMatrix(np.diag([3.0, 1.0])), 0.3, max_iter=3)
         assert not sol.converged
         assert sol.iterations == 3
+        _assert_weak_duality(sol)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -107,6 +212,93 @@ class TestSolveSdp:
             solve_sdp(m, -0.1)
         with pytest.raises(ValueError):
             solve_sdp(m, 0.1, tol=0.0)
+
+
+def _planted(rng, d):
+    """Sparse spike plus small symmetric noise, the experiments' shape of input."""
+    s = max(1, d // 5)
+    u = np.zeros(d)
+    u[rng.choice(d, s, replace=False)] = rng.choice([-1.0, 1.0], s) / np.sqrt(s)
+    a = 0.1 * rng.standard_normal((d, d))
+    return SymMatrix(4.0 * np.outer(u, u) + a + a.T)
+
+
+class TestBitIdentity:
+    """solve_sdp reproduces the reference loop exactly, cold and warm-started."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("d", [1, 2, 13, 20, 50])
+    def test_matches_reference(self, d, rho):
+        rng = np.random.default_rng([d, round(100 * rho)])
+        m = _planted(rng, d)
+        max_iter = 5000
+        prev = ref_state = None
+        # a cold solve, then one warm-started from it at the next penalty
+        for step_rho in (rho, rho + 0.05):
+            sol = solve_sdp(m, step_rho, max_iter=max_iter, warm_start=prev)
+            ref = _reference_admm(m.a, step_rho, DEFAULT_TOL, max_iter, ref_state)
+            assert _same_bytes(sol.x_hat.a, ref["x_hat"])
+            assert sol.iterations == ref["iterations"]
+            assert sol.primal_residual == ref["primal_residual"]
+            assert sol.dual_residual == ref["dual_residual"]
+            assert sol.objective == ref["objective"]
+            assert sol.converged == ref["converged"]
+            assert sol.support == support_of(SymMatrix(ref["x_hat"]))
+            if ref["z_dual"] is None:
+                assert sol.z_dual is None
+            else:
+                assert _same_bytes(sol.z_dual, ref["z_dual"])
+            for got, want in zip(sol._state[:3], ref["state"][:3]):
+                assert _same_bytes(got, want)
+            assert sol._state[3] == ref["state"][3]
+            # the merit may differ by summation order only
+            np.testing.assert_allclose(
+                sol.merit_history, ref["merit_history"], rtol=1e-12, atol=1e-10
+            )
+            _assert_weak_duality(sol)
+            prev, ref_state = sol, ref["state"]
+
+
+_side = st.integers(1, 10)
+_entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+class TestProjectionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=_side.flatmap(lambda d: arrays(np.float64, (d, d), elements=_entries)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectrahedron_projection(self, a, seed):
+        b = SymMatrix(a)
+        d = b.dim
+        x = project_spectrahedron(b).a
+        assert _same_bytes(x, _reference_project_spectrahedron(b.a))
+        assert np.linalg.eigvalsh(x)[0] >= -1e-12
+        assert abs(np.trace(x) - 1.0) <= 1e-12
+        # no spectrahedron point drawn here is nearer to b
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        slack = 1e-9 * (1.0 + np.linalg.norm(b.a))
+        dist = np.linalg.norm(b.a - x)
+        for p in (rng.dirichlet(np.ones(d)), np.eye(d)[rng.integers(d)]):
+            other = (q * p) @ q.T
+            assert dist <= np.linalg.norm(b.a - other) + slack
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=arrays(
+            np.float64,
+            st.integers(1, 30),
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_simplex_projection(self, v):
+        w = project_simplex(v)
+        assert _same_bytes(w, _reference_project_simplex(v))
+        assert np.all(w >= 0.0)
+        scale = max(1.0, float(np.abs(v).max()))
+        assert abs(w.sum() - 1.0) <= 4 * v.size**2 * np.finfo(float).eps * scale
 
 
 class TestSolveRestricted:
@@ -126,6 +318,9 @@ class TestSolveRestricted:
         expected[0, 0] = 1.0
         np.testing.assert_allclose(sol.x_hat.a, expected, atol=1e-8)
         assert sol.objective == pytest.approx(m.a[0, 0] - 0.4, abs=1e-8)
+        # the restricted solve reports its 1 x 1 sub-solve's gap
+        assert sol.converged
+        assert -1e-10 <= sol.gap <= 1e-6
 
     def test_excluded_coordinate_ignored(self):
         sol = solve_restricted(SymMatrix(np.diag([3.0, 2.0, 10.0])), 0.0, [0, 1])

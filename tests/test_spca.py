@@ -15,6 +15,7 @@ from spcarec.graph import (
     random_graph,
 )
 from spcarec.numerics import SymMatrix, spectral_norm
+from spcarec.sdp import solve_sdp
 from spcarec.spca import (
     criterion,
     recover_support,
@@ -114,6 +115,32 @@ class TestTuneRho:
         inst = gen_instance(20, 4, 8.0, 0.0, g, 12)
         trace = tune_rho(inst.m, [round(0.1 * k, 6) for k in range(1, 11)], 0.5)
         assert trace.chosen_support == inst.support
+
+    def test_per_point_diagnostics_aligned_with_grid(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((6, 6))
+        m = SymMatrix(a + a.T + 4 * np.eye(6))
+        grid = (0.3, 0.0, 0.05, 0.6)
+        trace = tune_rho(m, grid, 0.5)
+        for field in (trace.converged, trace.iterations, trace.gaps):
+            assert len(field) == len(trace.grid)
+        assert all(trace.converged)
+        assert all(k >= 1 for k in trace.iterations)
+        for gap in trace.gaps:
+            assert -1e-10 <= gap <= 1e-6
+        # the rho = 0 point reports the baseline solve
+        base = solve_sdp(m, 0.0)
+        assert trace.grid[0] == 0.0
+        assert (trace.iterations[0], trace.gaps[0]) == (base.iterations, base.gap)
+
+    def test_tiny_max_iter_records_nonconvergence(self):
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((6, 6))
+        m = SymMatrix(a + a.T + 4 * np.eye(6))
+        trace = tune_rho(m, (0.1, 0.2, 0.4), 0.5, max_iter=3)
+        assert trace.converged == (False, False, False)
+        assert trace.iterations == (3, 3, 3)
+        assert len(trace.gaps) == 3 and all(g >= -1e-10 for g in trace.gaps)
 
 
 class TestTheoreticalRho:
