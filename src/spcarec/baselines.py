@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ThresholdTooLarge
-from .graph import ObservationGraph, adjacency
+from .graph import ObservationGraph
 from .numerics import SymMatrix
 from .sdp import SdpSolution, solve_sdp, support_of
 
@@ -113,14 +113,13 @@ def _svt(b: np.ndarray, t: float) -> np.ndarray:
 
 def _complete_nuclear(
     m: np.ndarray,
-    mask: np.ndarray,
+    observed: np.ndarray,
     tol: float,
     max_iter: int,
     beta: float = 1.0,
 ) -> tuple[np.ndarray, dict]:
     """ADMM with singular-value thresholding for
-    min ||W||_*  s.t.  W symmetric, W agrees with m on the mask."""
-    observed = mask.astype(bool)
+    min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool)."""
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)
     residual = np.inf
@@ -159,11 +158,11 @@ def complete_nuclear(
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    if not g.edges:
+    if not g.mask.any():
         raise ValueError("observation graph has no edges")
     if g.n != m.dim:
         raise ValueError("graph and matrix dimension mismatch")
-    y, _ = _complete_nuclear(m.a, adjacency(g).a, tol, max_iter)
+    y, _ = _complete_nuclear(m.a, g.mask, tol, max_iter)
     return SymMatrix(y)
 
 
@@ -177,11 +176,11 @@ def mc_then_sdp(
     """Nuclear-norm completion followed by the penalized spectrahedron solve."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    if not g.edges:
+    if not g.mask.any():
         raise ValueError("observation graph has no edges")
     if g.n != m.dim:
         raise ValueError("graph and matrix dimension mismatch")
-    y, info = _complete_nuclear(m.a, adjacency(g).a, tol, max_iter)
+    y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
     sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
     return BaselineResult(
         method=BaselineMethod.MC_SDP,

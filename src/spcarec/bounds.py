@@ -16,7 +16,6 @@ from .errors import Disconnected
 from .graph import (
     BipartiteSubgraph,
     ObservationGraph,
-    adjacency,
     algebraic_connectivity,
     irregularity,
 )
@@ -62,8 +61,7 @@ def masking_difference_check(
         raise Disconnected("graph is disconnected")
     psi = irregularity(g)
     n = g.n
-    a = adjacency(g).a
-    lhs = spectral_norm(y.a - (n / phi) * (a * y.a))
+    lhs = spectral_norm(y.a - (n / phi) * (g.mask * y.a))
     rhs = (n * tau(y) * psi / phi) * spectral_norm(y)
     holds = lhs <= rhs + 1e-8 * max(1.0, rhs)
     return lhs, rhs, holds
@@ -108,7 +106,7 @@ def tail_bound_montecarlo(
         raise ValueError("sigma must be positive")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    mask = s_pattern.pattern()
+    mask = s_pattern.pattern
     m, n = mask.shape
     dmax = s_pattern.max_degree()
     bound = tail_bound_value(m, n, sigma, dmax, t)

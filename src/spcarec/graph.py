@@ -3,9 +3,11 @@
 An observation graph records which entries of a symmetric d x d matrix are
 observed: nodes are row/column indices 0..n-1, an edge {i, j} means entries
 (i, j) and (j, i) are observed, and a loop {i, i} means the diagonal entry
-is observed.  Degrees count loops once, i.e. degree(i) is the number of
-observed entries in row i.  Laplacians are built from the loopless graph
-(loops cancel in D - A), so algebraic connectivity has its usual meaning.
+is observed.  The graph is stored as that observation pattern itself: a
+read-only symmetric n x n bool mask with the loops on its diagonal.
+Degrees count loops once, i.e. degree(i) is the number of observed entries
+in row i.  Laplacians are built from the loopless graph (loops cancel in
+D - A), so algebraic connectivity has its usual meaning.
 """
 
 from __future__ import annotations
@@ -38,70 +40,80 @@ _EIG_ZERO_TOL = 1e-8
 
 
 class ObservationGraph:
-    """Undirected graph on nodes 0..n-1; loops allowed, no duplicate edges."""
+    """Undirected graph on nodes 0..n-1; loops allowed, no duplicate edges.
 
-    __slots__ = ("n", "edges")
+    `mask` is the read-only symmetric n x n bool observation pattern;
+    `edges` lists the same graph as (i, j) pairs with i <= j.
+    """
+
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
             raise ValueError("node count must be positive")
-        canon = set()
+        n = int(n)
+        mask = np.zeros((n, n), dtype=bool)
         for i, j in edges:
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            canon.add((i, j) if i <= j else (j, i))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", frozenset(canon))
+            mask[i, j] = mask[j, i] = True
+        mask.setflags(write=False)
+        self.n, self.mask = n, mask
+
+    @property
+    def edges(self) -> frozenset:
+        rows, cols = np.nonzero(np.triu(self.mask))
+        return frozenset(zip(rows.tolist(), cols.tolist()))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ObservationGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.mask.tobytes()))
 
     def __repr__(self) -> str:
-        return f"ObservationGraph(n={self.n}, edges={len(self.edges)})"
+        edges = np.count_nonzero(np.triu(self.mask))
+        return f"ObservationGraph(n={self.n}, edges={edges})"
 
 
-@dataclass(frozen=True)
+def _graph(mask: np.ndarray) -> ObservationGraph:
+    """Graph holding `mask`, a new symmetric bool array nothing else writes."""
+    g = ObservationGraph.__new__(ObservationGraph)
+    mask.setflags(write=False)
+    g.n, g.mask = mask.shape[0], mask
+    return g
+
+
+@dataclass(frozen=True, eq=False)
 class BipartiteSubgraph:
-    """Edges between two disjoint node sets (the block G_{L,R} of a graph)."""
+    """Edges between two disjoint node sets (the block G_{L,R} of a graph).
+
+    `pattern` is a read-only bool |left| x |right| copy of the given mask,
+    rows/columns in declared order.
+    """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
-    edges: frozenset
+    pattern: np.ndarray
 
     def __post_init__(self):
-        ls, rs = set(self.left), set(self.right)
-        if ls & rs:
+        if set(self.left) & set(self.right):
             raise ValueError("left and right node sets must be disjoint")
-        for l, r in self.edges:
-            if l not in ls or r not in rs:
-                raise ValueError(f"edge ({l},{r}) endpoints not in declared sides")
+        pattern = np.array(self.pattern, dtype=bool)
+        if pattern.shape != (len(self.left), len(self.right)):
+            raise ValueError("pattern shape must be |left| x |right|")
+        pattern.setflags(write=False)
+        object.__setattr__(self, "pattern", pattern)
 
     def max_degree(self) -> int:
         """Max incident-edge count over all vertices on both sides."""
-        if not self.edges:
-            return 0
-        counts: dict[int, int] = {}
-        for l, r in self.edges:
-            counts[l] = counts.get(l, 0) + 1
-            counts[r] = counts.get(r, 0) + 1
-        return max(counts.values())
-
-    def pattern(self) -> np.ndarray:
-        """Boolean |left| x |right| mask, rows/columns in declared order."""
-        li = {v: k for k, v in enumerate(self.left)}
-        ri = {v: k for k, v in enumerate(self.right)}
-        mask = np.zeros((len(self.left), len(self.right)), dtype=bool)
-        for l, r in self.edges:
-            mask[li[l], ri[r]] = True
-        return mask
+        p = self.pattern
+        return int(max(p.sum(axis=1).max(initial=0), p.sum(axis=0).max(initial=0)))
 
 
 def bipartite_from_mask(mask) -> BipartiteSubgraph:
@@ -114,39 +126,24 @@ def bipartite_from_mask(mask) -> BipartiteSubgraph:
     if mask.ndim != 2:
         raise ValueError("mask must be 2-d")
     m, n = mask.shape
-    edges = frozenset(
-        (int(i), int(m + j)) for i, j in zip(*np.nonzero(mask))
-    )
     return BipartiteSubgraph(
-        left=tuple(range(m)), right=tuple(range(m, m + n)), edges=edges
+        left=tuple(range(m)), right=tuple(range(m, m + n)), pattern=mask
     )
 
 
 def adjacency(g: ObservationGraph) -> SymMatrix:
     """0/1 adjacency matrix; A_ii = 1 iff the loop {i,i} is present."""
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return SymMatrix(a)
+    return SymMatrix(g.mask.astype(float))
 
 
 def degrees(g: ObservationGraph) -> np.ndarray:
     """Number of observed entries per row; a loop counts once."""
-    deg = np.zeros(g.n, dtype=int)
-    for i, j in g.edges:
-        deg[i] += 1
-        if i != j:
-            deg[j] += 1
-    return deg
+    return g.mask.sum(axis=1)
 
 
 def _loopless_laplacian(g: ObservationGraph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        if i != j:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+    # a loop adds 1 to both D_ii and A_ii, so it cancels exactly in D - A
+    a = g.mask.astype(float)
     return np.diag(a.sum(axis=1)) - a
 
 
@@ -161,8 +158,7 @@ def algebraic_connectivity(g: ObservationGraph) -> float:
 
 def complement(g: ObservationGraph) -> ObservationGraph:
     """Complement within the full universe of pairs including loops."""
-    universe = {(i, j) for i in range(g.n) for j in range(i, g.n)}
-    return ObservationGraph(g.n, universe - g.edges)
+    return _graph(~g.mask)
 
 
 def irregularity(g: ObservationGraph) -> float:
@@ -181,38 +177,34 @@ def irregularity(g: ObservationGraph) -> float:
     return max(max(d1, 0.0), max(d2, 0.0))
 
 
-def induced_subgraph(g: ObservationGraph, nodes) -> ObservationGraph:
-    """Subgraph on `nodes`, relabeled 0..k-1 preserving the sorted order."""
+def _node_set(g: ObservationGraph, nodes, what: str) -> list[int]:
     nodes = sorted(set(int(v) for v in nodes))
     if not nodes:
-        raise ValueError("node set must be nonempty")
+        raise ValueError(f"{what} must be nonempty")
     if nodes[0] < 0 or nodes[-1] >= g.n:
         raise ValueError("node index out of range")
-    relabel = {v: k for k, v in enumerate(nodes)}
-    keep = set(nodes)
-    edges = [
-        (relabel[i], relabel[j]) for i, j in g.edges if i in keep and j in keep
-    ]
-    return ObservationGraph(len(nodes), edges)
+    return nodes
+
+
+def induced_subgraph(g: ObservationGraph, nodes) -> ObservationGraph:
+    """Subgraph on `nodes`, relabeled 0..k-1 preserving the sorted order."""
+    nodes = _node_set(g, nodes, "node set")
+    return _graph(g.mask[np.ix_(nodes, nodes)])
 
 
 def bipartite_block(g: ObservationGraph, left) -> BipartiteSubgraph:
     """Edges of g with exactly one endpoint in `left` (the block G_{J,J^c})."""
-    left = sorted(set(int(v) for v in left))
-    if not left:
-        raise ValueError("left set must be nonempty")
-    if left[0] < 0 or left[-1] >= g.n:
-        raise ValueError("node index out of range")
-    lset = set(left)
-    if len(lset) == g.n:
+    left = _node_set(g, left, "left set")
+    if len(left) == g.n:
         raise ValueError("left set must be a proper subset of the nodes")
-    right = tuple(v for v in range(g.n) if v not in lset)
-    edges = set()
-    for i, j in g.edges:
-        if (i in lset) != (j in lset):
-            l, r = (i, j) if i in lset else (j, i)
-            edges.add((l, r))
-    return BipartiteSubgraph(left=tuple(left), right=right, edges=frozenset(edges))
+    in_left = np.zeros(g.n, dtype=bool)
+    in_left[left] = True
+    right = np.flatnonzero(~in_left)
+    return BipartiteSubgraph(
+        left=tuple(left),
+        right=tuple(right.tolist()),
+        pattern=g.mask[np.ix_(left, right)],
+    )
 
 
 def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
@@ -234,21 +226,18 @@ def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
     return phi, irregularity(sub)
 
 
-def _pair_universe(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.triu_indices(n)
-    weights = np.where(rows == cols, 1, 2)
-    return rows, cols, weights
-
-
 def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationGraph:
-    rows, cols, weights = _pair_universe(n)
-    if budget == 0:
-        return ObservationGraph(n, ())
-    perm = rng.permutation(rows.size)
-    cum = np.cumsum(weights[perm])
-    k = int(np.searchsorted(cum, budget, side="left"))
-    sel = perm[: k + 1]
-    return ObservationGraph(n, zip(rows[sel].tolist(), cols[sel].tolist()))
+    mask = np.zeros((n, n), dtype=bool)
+    if budget:
+        rows, cols = np.triu_indices(n)
+        perm = rng.permutation(rows.size)
+        # an off-diagonal pair observes two ordered entries, a loop one
+        cum = np.cumsum(np.where(rows == cols, 1, 2)[perm])
+        k = int(np.searchsorted(cum, budget, side="left"))
+        sel = perm[: k + 1]
+        mask[rows[sel], cols[sel]] = True
+        mask = mask | mask.T
+    return _graph(mask)
 
 
 def random_graph(n: int, budget: int, rng_seed: int) -> ObservationGraph:
@@ -306,9 +295,8 @@ def graph_from_mask(mask) -> ObservationGraph:
     mask = np.asarray(mask)
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError("mask must be square")
+    if mask.shape[0] < 1:
+        raise ValueError("node count must be positive")
     if not np.array_equal(mask, mask.T):
         raise ValueError("mask must be symmetric")
-    edges = [
-        (int(i), int(j)) for i, j in zip(*np.nonzero(mask)) if i <= j
-    ]
-    return ObservationGraph(mask.shape[0], edges)
+    return _graph(mask.astype(bool))

@@ -8,15 +8,17 @@ matter how repetitions are scheduled across worker threads.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .baselines import _complete_nuclear, dtspca, itspca
 from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
-from .graph import ObservationGraph, adjacency, graph_from_mask, random_graph_bucketed
+from .graph import ObservationGraph, graph_from_mask, random_graph_bucketed
 from .numerics import SymMatrix
 from .spca import DEFAULT_RHO_GRID, rescaled_parameter, tune_rho
 
@@ -138,42 +140,78 @@ def gen_instance(
     lam1 = (lam_rest[0] if d > 1 else 0.0) + gap
     lams = np.concatenate([[lam1], lam_rest])
     m_star = SymMatrix((q * lams) @ q.T)
+    return _observe(m_star, idx, sigma, graph, rng, rng_seed)
 
-    mask = adjacency(graph).a
+
+def _observe(
+    m_star: SymMatrix,
+    support,
+    sigma: float,
+    graph: ObservationGraph,
+    rng: np.random.Generator,
+    seed: int,
+) -> ProblemInstance:
+    """Noisy masked observation of m_star; the noise is drawn from rng."""
+    d = m_star.dim
     noisy = m_star.a
     if sigma > 0:
         upper = np.triu(rng.standard_normal((d, d)) * sigma)
-        noise = upper + np.triu(upper, 1).T
-        noisy = m_star.a + noise
-    m = SymMatrix(mask * noisy)
+        noisy = m_star.a + (upper + np.triu(upper, 1).T)
     return ProblemInstance(
         m_star=m_star,
-        support=frozenset(int(i) for i in idx),
+        support=frozenset(int(i) for i in support),
         sigma=float(sigma),
         graph=graph,
-        m=m,
-        seed=int(rng_seed),
+        m=SymMatrix(graph.mask * noisy),
+        seed=int(seed),
     )
 
 
-def _sdp_recoveries(inst: ProblemInstance, rho_grid, a: float) -> tuple[bool, ...]:
-    trace = tune_rho(inst.m, rho_grid, a, tol=_EXPERIMENT_TOL)
+@dataclass(frozen=True)
+class _Spec:
+    """What every repetition of one experiment shares.
+
+    `score` maps an instance to one exact-recovery flag per value of the
+    method's tuning grid; a fixed `m_star` and `support` replace the
+    per-repetition planted instance.
+    """
+
+    d: int
+    s: int
+    gap: float
+    sigma: float
+    budget: int
+    reps: int
+    rng_seed: int
+    max_tries: int
+    score: Callable[[ProblemInstance, _Spec], tuple[bool, ...]]
+    rho_grid: tuple
+    a: float
+    baseline_params: tuple = ()
+    m_star: SymMatrix | None = None
+    support: tuple[int, ...] | None = None
+
+
+def _sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
+    trace = tune_rho(inst.m, spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
     return (trace.chosen_support == inst.support,)
 
 
-def _mc_sdp_recoveries(inst: ProblemInstance, rho_grid, a: float) -> tuple[bool, ...]:
-    y, _ = _complete_nuclear(inst.m.a, adjacency(inst.graph).a, 1e-6, 5000)
-    trace = tune_rho(SymMatrix(y), rho_grid, a, tol=_EXPERIMENT_TOL)
+def _mc_sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
+    y, _ = _complete_nuclear(inst.m.a, inst.graph.mask, 1e-6, 5000)
+    trace = tune_rho(SymMatrix(y), spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
     return (trace.chosen_support == inst.support,)
 
 
-def _dtspca_recoveries(inst: ProblemInstance, ks) -> tuple[bool, ...]:
-    return tuple(dtspca(inst.m, k).support == inst.support for k in ks)
+def _dtspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
+    return tuple(
+        dtspca(inst.m, k).support == inst.support for k in spec.baseline_params
+    )
 
 
-def _itspca_recoveries(inst: ProblemInstance, thresholds) -> tuple[bool, ...]:
+def _itspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
     out = []
-    for t in thresholds:
+    for t in spec.baseline_params:
         try:
             out.append(itspca(inst.m, t).support == inst.support)
         except ThresholdTooLarge:
@@ -181,110 +219,53 @@ def _itspca_recoveries(inst: ProblemInstance, thresholds) -> tuple[bool, ...]:
     return tuple(out)
 
 
-def _rep_task(
-    d: int,
-    s: int,
-    gap: float,
-    sigma: float,
-    budget: int,
-    bucket: tuple[float, float],
-    bucket_idx: int,
-    rep: int,
-    rho_grid,
-    a: float,
-    rng_seed: int,
-    max_tries: int,
-    method: str,
-    fixed_m_star: SymMatrix | None,
-    fixed_support,
-    baseline_params,
-):
-    rng = np.random.default_rng(
-        np.random.SeedSequence((rng_seed, bucket_idx, rep, 0))
-    )
-    if fixed_support is None:
-        support = np.sort(rng.choice(d, size=s, replace=False))
+_METHODS = {
+    "sdp": _sdp_recoveries,
+    "mc_sdp": _mc_sdp_recoveries,
+    "dtspca": _dtspca_recoveries,
+    "itspca": _itspca_recoveries,
+}
+_DEFAULT_BASELINE_PARAMS = {
+    "dtspca": tuple(range(1, 14)),
+    "itspca": _ITSPCA_DEFAULT_THRESHOLDS,
+}
+
+
+def _rep_task(spec: _Spec, bucket_idx: int, bucket: tuple[float, float], rep: int):
+    seed = spec.rng_seed
+    rng = np.random.default_rng(np.random.SeedSequence((seed, bucket_idx, rep, 0)))
+    if spec.support is None:
+        support = np.sort(rng.choice(spec.d, size=spec.s, replace=False))
     else:
-        support = np.asarray(sorted(fixed_support), dtype=int)
+        support = np.asarray(spec.support, dtype=int)
     graph = random_graph_bucketed(
-        d,
-        budget,
+        spec.d,
+        spec.budget,
         support,
         bucket[0],
         bucket[1],
-        max_tries,
-        _child_seed(rng_seed, bucket_idx, rep, 1),
+        spec.max_tries,
+        _child_seed(seed, bucket_idx, rep, 1),
     )
-    inst_seed = _child_seed(rng_seed, bucket_idx, rep, 2)
-    if fixed_m_star is None:
-        inst = gen_instance(d, s, gap, sigma, graph, inst_seed, support=support)
+    inst_seed = _child_seed(seed, bucket_idx, rep, 2)
+    if spec.m_star is None:
+        inst = gen_instance(
+            spec.d, spec.s, spec.gap, spec.sigma, graph, inst_seed, support=support
+        )
     else:
-        inst = _observe_fixed(fixed_m_star, support, sigma, graph, inst_seed)
-
-    if method == "sdp":
-        successes = _sdp_recoveries(inst, rho_grid, a)
-    elif method == "mc_sdp":
-        successes = _mc_sdp_recoveries(inst, rho_grid, a)
-    elif method == "dtspca":
-        successes = _dtspca_recoveries(inst, baseline_params)
-    elif method == "itspca":
-        successes = _itspca_recoveries(inst, baseline_params)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    rescaled = rescaled_parameter(inst.m_star, graph, sigma, inst.support)
-    return successes, rescaled
+        rng = np.random.default_rng(np.random.SeedSequence(inst_seed))
+        inst = _observe(spec.m_star, support, spec.sigma, graph, rng, inst_seed)
+    rescaled = rescaled_parameter(inst.m_star, graph, spec.sigma, inst.support)
+    return spec.score(inst, spec), rescaled
 
 
-def _observe_fixed(
-    m_star: SymMatrix, support, sigma: float, graph: ObservationGraph, rng_seed: int
-) -> ProblemInstance:
-    """Noisy masked observation of a fixed ground-truth matrix."""
-    d = m_star.dim
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    mask = adjacency(graph).a
-    noisy = m_star.a
-    if sigma > 0:
-        upper = np.triu(rng.standard_normal((d, d)) * sigma)
-        noisy = m_star.a + upper + np.triu(upper, 1).T
-    return ProblemInstance(
-        m_star=m_star,
-        support=frozenset(int(i) for i in support),
-        sigma=float(sigma),
-        graph=graph,
-        m=SymMatrix(mask * noisy),
-        seed=int(rng_seed),
-    )
-
-
-def _run_buckets(
-    d: int,
-    s: int,
-    gap: float,
-    sigma: float,
-    budget: int,
-    buckets,
-    reps: int,
-    rho_grid,
-    a: float,
-    rng_seed: int,
-    max_tries: int,
-    workers: int,
-    method: str,
-    fixed_m_star: SymMatrix | None,
-    fixed_support,
-    baseline_params,
-) -> list[ExperimentRow]:
-    if reps < 1:
+def _run_buckets(spec: _Spec, buckets, workers: int) -> list[ExperimentRow]:
+    if spec.reps < 1:
         raise ValueError("reps must be at least 1")
+    reps = spec.reps
     rows = []
     for b, (lo, hi) in enumerate(buckets):
-        def task(rep, _b=b, _lo=lo, _hi=hi):
-            return _rep_task(
-                d, s, gap, sigma, budget, (_lo, _hi), _b, rep, rho_grid, a,
-                rng_seed, max_tries, method, fixed_m_star, fixed_support,
-                baseline_params,
-            )
-
+        task = functools.partial(_rep_task, spec, b, (lo, hi))
         try:
             if workers > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -292,34 +273,24 @@ def _run_buckets(
             else:
                 results = [task(rep) for rep in range(reps)]
         except BucketExhausted:
-            rows.append(
-                ExperimentRow(
-                    bucket_lo=float(lo),
-                    bucket_hi=float(hi),
-                    spectral_gap=float(gap),
-                    sigma=float(sigma),
-                    reps=reps,
-                    exact_recovery_rate=math.nan,
-                    mean_rescaled=math.nan,
-                    skipped=True,
-                )
+            rate = mean_rescaled = math.nan
+        else:
+            # rate = best over the method's tuning grid of the per-value rate
+            n_params = len(results[0][0])
+            rate = max(
+                sum(res[0][p] for res in results) / reps for p in range(n_params)
             )
-            continue
-        # rate = best over the method's tuning grid of the per-value rate
-        n_params = len(results[0][0])
-        rate = max(
-            sum(res[0][p] for res in results) / reps for p in range(n_params)
-        )
-        mean_rescaled = sum(res[1] for res in results) / reps
+            mean_rescaled = sum(res[1] for res in results) / reps
         rows.append(
             ExperimentRow(
                 bucket_lo=float(lo),
                 bucket_hi=float(hi),
-                spectral_gap=float(gap),
-                sigma=float(sigma),
+                spectral_gap=float(spec.gap),
+                sigma=float(spec.sigma),
                 reps=reps,
                 exact_recovery_rate=rate,
                 mean_rescaled=mean_rescaled,
+                skipped=math.isnan(rate),
             )
         )
     return rows
@@ -349,10 +320,12 @@ def run_bucket_experiment(
     """
     if rho_grid is None:
         rho_grid = DEFAULT_RHO_GRID
-    return _run_buckets(
-        d, s, gap, sigma, budget, buckets, reps, rho_grid, a, rng_seed,
-        max_tries, workers, "sdp", None, None, None,
+    spec = _Spec(
+        d=d, s=s, gap=gap, sigma=sigma, budget=budget, reps=reps,
+        rng_seed=rng_seed, max_tries=max_tries, score=_sdp_recoveries,
+        rho_grid=rho_grid, a=a,
     )
+    return _run_buckets(spec, buckets, workers)
 
 
 def pitprops_experiment(
@@ -378,10 +351,13 @@ def pitprops_experiment(
     baselines the rate reported per bucket is the best over their tuning
     grid, mirroring how such methods are usually scored.
     """
+    score = _METHODS.get(method)
+    if score is None:
+        raise ValueError(f"unknown method {method!r}")
     m_star, graph, names = _load_matrix(matrix_path, None)
     if m_star.dim != 13:
         raise MatrixParseError(f"expected a 13x13 matrix, got {m_star.dim}")
-    if len(graph.edges) != 13 * 14 // 2:
+    if not graph.mask.all():
         raise MatrixParseError("pitprops matrix must be complete (no NA cells)")
     if names is not None:
         lowered = [n.lower() for n in names]
@@ -396,14 +372,14 @@ def pitprops_experiment(
     if rho_grid is None:
         rho_grid = tuple(round(0.05 * k, 6) for k in range(1, 21))
     if baseline_params is None:
-        baseline_params = (
-            tuple(range(1, 14)) if method == "dtspca" else _ITSPCA_DEFAULT_THRESHOLDS
-        )
-    gap_val = _spectral_gap(m_star)
-    return _run_buckets(
-        13, len(support), gap_val, sigma, budget, buckets, reps, rho_grid, a,
-        rng_seed, max_tries, workers, method, m_star, support, baseline_params,
+        baseline_params = _DEFAULT_BASELINE_PARAMS.get(method, ())
+    spec = _Spec(
+        d=13, s=len(support), gap=_spectral_gap(m_star), sigma=sigma,
+        budget=budget, reps=reps, rng_seed=rng_seed, max_tries=max_tries,
+        score=score, rho_grid=rho_grid, a=a, baseline_params=baseline_params,
+        m_star=m_star, support=tuple(sorted(support)),
     )
+    return _run_buckets(spec, buckets, workers)
 
 
 def _spectral_gap(m: SymMatrix) -> float:
@@ -522,7 +498,7 @@ def load_matrix_csv(path, mask_path=None) -> tuple[SymMatrix, ObservationGraph]:
 def write_matrix_csv(path, m: SymMatrix, graph: ObservationGraph | None = None,
                      names=None) -> None:
     """Write a matrix CSV, with NA at entries the graph marks unobserved."""
-    observed = adjacency(graph).a.astype(bool) if graph is not None else None
+    observed = graph.mask if graph is not None else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if names is not None:
@@ -538,7 +514,7 @@ def write_matrix_csv(path, m: SymMatrix, graph: ObservationGraph | None = None,
 
 
 def write_mask_csv(path, graph: ObservationGraph) -> None:
-    mask = adjacency(graph).a.astype(int)
+    mask = graph.mask.astype(int)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for i in range(graph.n):

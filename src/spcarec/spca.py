@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DegenerateBaseline, Disconnected
 from .graph import (
     ObservationGraph,
-    adjacency,
     bipartite_block,
     block_quantities,
     degrees,
@@ -72,6 +71,16 @@ def _explained(m: np.ndarray, x: np.ndarray) -> float:
     return float((m * x).sum())
 
 
+def _baseline(m: SymMatrix, tol: float, max_iter: int) -> tuple[SdpSolution, float]:
+    """The unpenalized solve and the variance it explains, the criterion's
+    denominator; raises DegenerateBaseline when that is zero."""
+    base_sol = solve_sdp(m, 0.0, tol=tol, max_iter=max_iter)
+    baseline = _explained(m.a, base_sol.x_hat.a)
+    if abs(baseline) <= 1e-15 * (1.0 + float(np.abs(m.a).max())):
+        raise DegenerateBaseline("unpenalized solution explains zero variance")
+    return base_sol, baseline
+
+
 def _criterion_value(
     explained_rho: float, baseline: float, support_size: int, d: int, a: float
 ) -> float:
@@ -93,10 +102,7 @@ def criterion(
         m = SymMatrix(m)
     if not 0.0 < a < 1.0:
         raise ValueError("weight a must lie strictly between 0 and 1")
-    base_sol = solve_sdp(m, 0.0, tol=tol, max_iter=max_iter)
-    baseline = _explained(m.a, base_sol.x_hat.a)
-    if abs(baseline) <= 1e-15 * (1.0 + float(np.abs(m.a).max())):
-        raise DegenerateBaseline("unpenalized solution explains zero variance")
+    base_sol, baseline = _baseline(m, tol, max_iter)
     sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=base_sol)
     return _criterion_value(
         _explained(m.a, sol.x_hat.a), baseline, len(sol.support), m.dim, a
@@ -151,11 +157,7 @@ def tune_rho(
     if grid[0] < 0 or not all(np.isfinite(grid)):
         raise ValueError("grid values must be nonnegative finite reals")
 
-    base_sol = solve_sdp(m, 0.0, tol=tol, max_iter=max_iter)
-    baseline = _explained(m.a, base_sol.x_hat.a)
-    if abs(baseline) <= 1e-15 * (1.0 + float(np.abs(m.a).max())):
-        raise DegenerateBaseline("unpenalized solution explains zero variance")
-
+    base_sol, baseline = _baseline(m, tol, max_iter)
     criteria = []
     supports = []
     explained = []
@@ -287,7 +289,7 @@ def _xi_constant(m_star: SymMatrix, g: ObservationGraph, q) -> float:
     comp, idx = q["comp"], q["idx"]
     if comp.size == 0:
         return 0.0
-    masked = adjacency(g).a * m_star.a
+    masked = g.mask * m_star.a
     xi = 0.0
     if q["norm_cross"] != 0.0:
         xi = max(

@@ -1,11 +1,17 @@
 """Observation graphs: structure, spectra, and generators."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcarec.errors import BucketExhausted, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
+    _loopless_laplacian,
+    _random_graph,
     adjacency,
     algebraic_connectivity,
     bipartite_block,
@@ -166,7 +172,8 @@ class TestBipartiteBlock:
     def test_triangle(self):
         g = ObservationGraph(3, [(0, 1), (0, 2), (1, 2)])
         blk = bipartite_block(g, [0])
-        assert blk.edges == frozenset({(0, 1), (0, 2)})
+        assert (blk.left, blk.right) == ((0,), (1, 2))
+        np.testing.assert_array_equal(blk.pattern, [[True, True]])
         assert blk.max_degree() == 2
 
     def test_empty(self):
@@ -185,7 +192,7 @@ class TestBipartiteBlock:
     def test_pattern_shape(self):
         mask = np.array([[1, 0], [1, 1], [0, 0]])
         blk = bipartite_from_mask(mask)
-        np.testing.assert_array_equal(blk.pattern(), mask.astype(bool))
+        np.testing.assert_array_equal(blk.pattern, mask.astype(bool))
         assert blk.max_degree() == 2
 
 
@@ -265,3 +272,215 @@ class TestGraphFromMask:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             graph_from_mask(np.array([[1, 1], [0, 1]]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the edge-set implementation the bool-mask graph replaced, kept
+# verbatim in substance so the mask code can be checked against it exactly.
+
+
+class _RefGraph:
+    def __init__(self, n, edges=()):
+        canon = set()
+        for i, j in edges:
+            i, j = int(i), int(j)
+            canon.add((i, j) if i <= j else (j, i))
+        self.n = int(n)
+        self.edges = frozenset(canon)
+
+
+def _ref_adjacency(g):
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    return 0.5 * (a + a.T)  # SymMatrix's symmetrization
+
+
+def _ref_degrees(g):
+    deg = np.zeros(g.n, dtype=int)
+    for i, j in g.edges:
+        deg[i] += 1
+        if i != j:
+            deg[j] += 1
+    return deg
+
+
+def _ref_loopless_laplacian(g):
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        if i != j:
+            a[i, j] = 1.0
+            a[j, i] = 1.0
+    return np.diag(a.sum(axis=1)) - a
+
+
+def _ref_connectivity(g):
+    phi = float(np.linalg.eigvalsh(_ref_loopless_laplacian(g))[1])
+    return phi if phi > 1e-8 else 0.0
+
+
+def _ref_complement(g):
+    universe = {(i, j) for i in range(g.n) for j in range(i, g.n)}
+    return _RefGraph(g.n, universe - g.edges)
+
+
+def _ref_irregularity(g):
+    gc = _ref_complement(g)
+    d1 = float(_ref_degrees(g).max()) - _ref_connectivity(g)
+    d2 = float(_ref_degrees(gc).max()) - _ref_connectivity(gc)
+    if d1 < -1e-8 or d2 < -1e-8:
+        raise IrregularityUndefined("undefined")
+    return max(max(d1, 0.0), max(d2, 0.0))
+
+
+def _ref_induced_subgraph(g, nodes):
+    nodes = sorted(set(int(v) for v in nodes))
+    relabel = {v: k for k, v in enumerate(nodes)}
+    keep = set(nodes)
+    edges = [
+        (relabel[i], relabel[j]) for i, j in g.edges if i in keep and j in keep
+    ]
+    return _RefGraph(len(nodes), edges)
+
+
+def _ref_bipartite_block(g, left):
+    """(left, right, pattern, max degree) of the block G_{L, L^c}."""
+    left = sorted(set(int(v) for v in left))
+    lset = set(left)
+    right = tuple(v for v in range(g.n) if v not in lset)
+    edges = set()
+    for i, j in g.edges:
+        if (i in lset) != (j in lset):
+            edges.add((i, j) if i in lset else (j, i))
+    counts = {}
+    for l, r in edges:
+        counts[l] = counts.get(l, 0) + 1
+        counts[r] = counts.get(r, 0) + 1
+    li = {v: k for k, v in enumerate(left)}
+    ri = {v: k for k, v in enumerate(right)}
+    pattern = np.zeros((len(left), len(right)), dtype=bool)
+    for l, r in edges:
+        pattern[li[l], ri[r]] = True
+    return tuple(left), right, pattern, max(counts.values(), default=0)
+
+
+def _ref_block_quantities(g, nodes):
+    nodes = sorted(set(int(v) for v in nodes))
+    if len(nodes) == 1:
+        return 1.0, 0.0
+    sub = _ref_induced_subgraph(g, nodes)
+    phi = _ref_connectivity(sub)
+    if phi <= 0.0:
+        return 0.0, float("nan")
+    return phi, _ref_irregularity(sub)
+
+
+def _ref_random_graph(n, budget, rng):
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1, 2)
+    if budget == 0:
+        return _RefGraph(n, ())
+    perm = rng.permutation(rows.size)
+    cum = np.cumsum(weights[perm])
+    k = int(np.searchsorted(cum, budget, side="left"))
+    sel = perm[: k + 1]
+    return _RefGraph(n, zip(rows[sel].tolist(), cols[sel].tolist()))
+
+
+@st.composite
+def _graph_pairs(draw):
+    """(ObservationGraph, reference graph) built from the same edges,
+    either listed directly or drawn by the seeded random generator."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        budget = draw(st.integers(0, n * n))
+        seed = draw(st.integers(0, 2**32 - 1))
+        g = _random_graph(n, budget, np.random.default_rng(seed))
+        ref = _ref_random_graph(n, budget, np.random.default_rng(seed))
+        return g, ref
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=n * (n + 1) // 2 + 4))
+    return ObservationGraph(n, edges), _RefGraph(n, edges)
+
+
+def _same_edges(g, ref):
+    edges = sorted(g.edges)
+    assert edges == sorted(ref.edges)
+    assert all(type(i) is int and type(j) is int and i <= j for i, j in edges)
+
+
+def _same_float(x, y):
+    assert x == y or (math.isnan(x) and math.isnan(y))
+
+
+class TestMatchesEdgeSetReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pairs(), st.data())
+    def test_every_quantity_exactly_equal(self, pair, data):
+        g, ref = pair
+        n = g.n
+        _same_edges(g, ref)
+        a = adjacency(g).a
+        assert a.dtype == np.float64
+        assert a.tobytes() == _ref_adjacency(ref).tobytes()
+        deg = degrees(g)
+        assert deg.dtype == _ref_degrees(ref).dtype
+        np.testing.assert_array_equal(deg, _ref_degrees(ref))
+        lap_vals = np.linalg.eigvalsh(_loopless_laplacian(g))
+        ref_vals = np.linalg.eigvalsh(_ref_loopless_laplacian(ref))
+        assert lap_vals.tobytes() == ref_vals.tobytes()
+        _same_edges(complement(g), _ref_complement(ref))
+        np.testing.assert_array_equal(deg + degrees(complement(g)), np.full(n, n))
+
+        nodes = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        _same_edges(induced_subgraph(g, nodes), _ref_induced_subgraph(ref, nodes))
+        try:
+            expected = _ref_block_quantities(ref, nodes)
+        except IrregularityUndefined:
+            with pytest.raises(IrregularityUndefined):
+                block_quantities(g, nodes)
+        else:
+            got = block_quantities(g, nodes)
+            _same_float(got[0], expected[0])
+            _same_float(got[1], expected[1])
+
+        if n >= 2:
+            left = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+            blk = bipartite_block(g, left)
+            ref_left, ref_right, ref_pattern, ref_dmax = _ref_bipartite_block(ref, left)
+            assert (blk.left, blk.right) == (ref_left, ref_right)
+            assert blk.pattern.dtype == bool
+            np.testing.assert_array_equal(blk.pattern, ref_pattern)
+            assert blk.max_degree() == ref_dmax
+            assert type(blk.max_degree()) is int
+
+
+class TestMaskReadOnly:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ObservationGraph(3, [(0, 1)]),
+            lambda: random_graph(5, 12, 1),
+            lambda: complement(ObservationGraph(3, [(0, 1)])),
+            lambda: induced_subgraph(random_graph(5, 12, 1), [0, 2, 3]),
+            lambda: graph_from_mask(np.eye(3)),
+        ],
+    )
+    def test_write_raises(self, make):
+        g = make()
+        assert g.mask.dtype == bool
+        assert np.array_equal(g.mask, g.mask.T)
+        with pytest.raises(ValueError):
+            g.mask[0, 0] = not g.mask[0, 0]
+
+    def test_from_mask_copies_input(self):
+        mask = np.eye(3, dtype=bool)
+        g = graph_from_mask(mask)
+        mask[0, 1] = mask[1, 0] = True
+        assert g == ObservationGraph(3, [(0, 0), (1, 1), (2, 2)])
+
+    def test_bipartite_pattern_read_only(self):
+        blk = bipartite_block(random_graph(6, 20, 2), [0, 1])
+        with pytest.raises(ValueError):
+            blk.pattern[0, 0] = True

@@ -1,5 +1,6 @@
 """Instance generation, experiment runner, CSV ingestion and emission."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -98,6 +99,18 @@ class TestRunBucketExperiment:
         assert rows[0].skipped
         assert math.isnan(rows[0].exact_recovery_rate)
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        # SHA-256 of the emitted CSV, recorded before the experiment
+        # plumbing was rebuilt around one spec object
+        rows = run_bucket_experiment(
+            d=12, s=3, gap=8.0, sigma=0.1, budget=90,
+            buckets=[(0.0, 2.0), (2.0, 6.0)], reps=2,
+            rho_grid=(0.1, 0.3, 0.6), a=0.5, rng_seed=3,
+        )
+        assert _csv_sha256(rows, tmp_path) == (
+            "46c45d2597ba766f117de27aaad85e7c0092c5ed91e8c03ed62247279f23953d"
+        )
+
     def test_workers_bit_identical(self, tmp_path):
         kwargs = dict(
             d=12, s=4, gap=8.0, sigma=0.1, budget=100,
@@ -111,6 +124,12 @@ class TestRunBucketExperiment:
         emit_csv(rows1, p1)
         emit_csv(rows3, p3)
         assert p1.read_bytes() == p3.read_bytes()
+
+
+def _csv_sha256(rows, tmp_path):
+    p = tmp_path / "pinned.csv"
+    emit_csv(rows, p)
+    return hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def _write(tmp_path, name, text):
@@ -261,13 +280,32 @@ class TestPitpropsExperiment:
         assert not rows[0].skipped
 
     def test_baseline_methods_run(self, tmp_path):
+        # SHA-256 of the emitted CSV per method, recorded before the
+        # experiment plumbing was rebuilt around one spec object
+        pinned = {
+            "sdp": "1630056c901b12321d6d37a68d04634ae33d262d5651bca76c9ce95754147331",
+            "mc_sdp": "d8143a5c70a992895bd7dc044cc6a129e117abab73d6583e269b0015c43a2a25",
+            "dtspca": "44c20043724dbaa946bab2ff315393924607a7b6d996bb23b09ab9ccc78d5a96",
+            "itspca": "d8143a5c70a992895bd7dc044cc6a129e117abab73d6583e269b0015c43a2a25",
+        }
         path = _synthetic_pitprops(tmp_path)
-        for method in ("dtspca", "itspca"):
+        for method, digest in pinned.items():
             rows = pitprops_experiment(
                 path, budget=100, buckets=[(0.0, 5.0)], sigma=0.05, reps=2,
-                rho_grid=(0.1,), a=0.4, rng_seed=2, method=method,
+                rho_grid=(0.1, 0.3), a=0.4, rng_seed=2, method=method,
             )
             assert 0.0 <= rows[0].exact_recovery_rate <= 1.0
+            assert _csv_sha256(rows, tmp_path) == digest, method
+
+    def test_unknown_method_rejected_before_sampling(self, tmp_path):
+        # the bucket is unreachable, so any graph draw would end in a
+        # skipped row instead of the error
+        path = _synthetic_pitprops(tmp_path)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            pitprops_experiment(
+                path, budget=100, buckets=[(-5.0, 0.0)], reps=1, max_tries=3,
+                method="bogus",
+            )
 
     def test_incomplete_matrix_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

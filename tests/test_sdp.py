@@ -12,6 +12,7 @@ from spcarec.graph import ObservationGraph, random_graph
 from spcarec.numerics import SymMatrix, eigh, project_simplex, project_spectrahedron
 from spcarec.sdp import (
     DEFAULT_TOL,
+    _support_arrays,
     kkt_report,
     solve_restricted,
     solve_sdp,
@@ -364,6 +365,22 @@ class TestSupportOf:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             support_of(SymMatrix(np.eye(2)), 0.0)
+
+
+class TestSupportArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.integers(0, d - 1), min_size=1))
+    ))
+    def test_matches_set_complement(self, case):
+        d, support = case
+        idx, comp = _support_arrays(d, support)
+        expected = np.asarray(
+            [i for i in range(d) if i not in set(idx.tolist())], dtype=int
+        )
+        assert comp.dtype == expected.dtype
+        assert comp.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(idx, sorted(set(support)))
 
 
 class TestKktReport:
