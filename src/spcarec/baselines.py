@@ -8,6 +8,7 @@ solving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ThresholdTooLarge
 from .graph import ObservationGraph
-from .numerics import SymMatrix
+from .numerics import SymMatrix, _soft_threshold_arr
 from .sdp import SdpSolution, solve_sdp, support_of
 
 __all__ = [
@@ -77,24 +78,26 @@ def itspca(
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     d = m.dim
+    # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
     if rng_seed is None:
         v = np.ones(d) / np.sqrt(d)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
         v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))
+    a = m.a
     delta = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        w = m.a @ v
-        w = np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
-        nw = np.linalg.norm(w)
+        w = _soft_threshold_arr(a @ v, threshold)[0]
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             raise ThresholdTooLarge(
                 f"iterate collapsed to zero at threshold {threshold}"
             )
         w /= nw
-        delta = np.linalg.norm(w - v)
+        diff = w - v
+        delta = math.sqrt(diff.dot(diff))
         v = w
         if delta <= tol:
             break
@@ -107,8 +110,16 @@ def itspca(
 
 
 def _svt(b: np.ndarray, t: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    return (u * np.maximum(s - t, 0.0)) @ vt
+    """Singular value thresholding of an exactly symmetric b.
+
+    The singular values of a symmetric matrix are its eigenvalues'
+    magnitudes, so shrinking them by t is soft thresholding of the
+    eigenvalues.  The result is symmetrized like the spectrahedron
+    projection, so it is exactly symmetric.
+    """
+    vals, vecs = np.linalg.eigh(b)
+    w = (vecs * _soft_threshold_arr(vals, t)[0]) @ vecs.T
+    return 0.5 * (w + w.T)
 
 
 def _complete_nuclear(
@@ -119,7 +130,13 @@ def _complete_nuclear(
     beta: float = 1.0,
 ) -> tuple[np.ndarray, dict]:
     """ADMM with singular-value thresholding for
-    min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool)."""
+    min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool).
+
+    m and `observed` must be exactly symmetric.  Every iterate then stays
+    exactly symmetric, so the thresholding step is one symmetric
+    eigendecomposition (`_svt`) and w + u is already the projection onto
+    symmetric matrices.
+    """
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)
     residual = np.inf
@@ -127,7 +144,7 @@ def _complete_nuclear(
     for it in range(1, max_iter + 1):
         w = _svt(y - u, 1.0 / beta)
         # projection onto {symmetric, observed entries pinned}
-        y_new = 0.5 * ((w + u) + (w + u).T)
+        y_new = w + u
         y_new[observed] = m[observed]
         u = u + w - y_new
         residual = max(

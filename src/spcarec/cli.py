@@ -17,6 +17,7 @@ from .bounds import tail_bound_montecarlo, masking_difference_check
 from .errors import Disconnected, IrregularityUndefined, MatrixParseError
 from .graph import bipartite_from_mask, graph_from_mask, random_graph
 from .harness import (
+    _METHODS,
     emit_csv,
     gen_instance,
     load_matrix_csv,
@@ -280,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--workers", type=int, default=1)
     e.add_argument("--matrix", default=None, help="pitprops matrix CSV")
-    e.add_argument(
-        "--method", choices=["sdp", "mc_sdp", "dtspca", "itspca"], default="sdp"
-    )
+    e.add_argument("--method", choices=list(_METHODS), default="sdp")
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_experiment)
 

@@ -12,6 +12,7 @@ D - A), so algebraic connectivity has its usual meaning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,13 +227,25 @@ def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
     return phi, irregularity(sub)
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and ordered-entry weights of the pairs i <= j, read-only.
+
+    An off-diagonal pair observes two ordered entries, a loop one.
+    """
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1, 2)
+    for a in (rows, cols, weights):
+        a.setflags(write=False)
+    return rows, cols, weights
+
+
 def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationGraph:
     mask = np.zeros((n, n), dtype=bool)
     if budget:
-        rows, cols = np.triu_indices(n)
+        rows, cols, weights = _pair_table(n)
         perm = rng.permutation(rows.size)
-        # an off-diagonal pair observes two ordered entries, a loop one
-        cum = np.cumsum(np.where(rows == cols, 1, 2)[perm])
+        cum = np.cumsum(weights[perm])
         k = int(np.searchsorted(cum, budget, side="left"))
         sel = perm[: k + 1]
         mask[rows[sel], cols[sel]] = True

@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spcarec.baselines import complete_nuclear, dtspca, itspca, mc_then_sdp
+from spcarec.baselines import (
+    _complete_nuclear,
+    _svt,
+    complete_nuclear,
+    dtspca,
+    itspca,
+    mc_then_sdp,
+)
 from spcarec.errors import ThresholdTooLarge
 from spcarec.graph import ObservationGraph, adjacency, graph_from_mask, random_graph
 from spcarec.numerics import SymMatrix, eigh
@@ -79,6 +88,91 @@ class TestItspca:
         assert a.support == b.support
 
 
+def _loop_itspca(a, threshold, max_iter=1000, tol=1e-8, rng_seed=None):
+    """The itspca loop before it was trimmed, kept as the reference:
+    np.linalg.norm and an inline soft threshold.  Returns (support,
+    iterations, delta)."""
+    d = a.shape[0]
+    if rng_seed is None:
+        v = np.ones(d) / np.sqrt(d)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
+        v = rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+    delta = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        w = a @ v
+        w = np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            raise ThresholdTooLarge(f"iterate collapsed to zero at threshold {threshold}")
+        w /= nw
+        delta = np.linalg.norm(w - v)
+        v = w
+        if delta <= tol:
+            break
+    return frozenset(int(i) for i in np.nonzero(v)[0]), it, float(delta)
+
+
+class TestItspcaMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0, 3.0, 100.0]),
+        rng_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        max_iter=st.sampled_from([1, 7, 1000]),
+        spiked=st.booleans(),
+    )
+    @example(d=3, seed=0, threshold=10.0, rng_seed=None, max_iter=1000, spiked=False)
+    def test_bit_equal(self, d, seed, threshold, rng_seed, max_iter, spiked):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))
+        a = a + a.T
+        if spiked:
+            a = a + _spike(d, rng.choice(d, size=max(1, d // 4), replace=False)).a
+        m = SymMatrix(a)
+        try:
+            expected = _loop_itspca(m.a, threshold, max_iter=max_iter, rng_seed=rng_seed)
+        except ThresholdTooLarge:
+            with pytest.raises(ThresholdTooLarge):
+                itspca(m, threshold, max_iter=max_iter, rng_seed=rng_seed)
+            return
+        res = itspca(m, threshold, max_iter=max_iter, rng_seed=rng_seed)
+        got = (res.support, res.diagnostics["iterations"], res.diagnostics["delta"])
+        assert got == expected
+        assert type(res.diagnostics["delta"]) is float
+
+
+def _svd_svt(b, t):
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    return (u * np.maximum(s - t, 0.0)) @ vt
+
+
+class TestSvt:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        t_frac=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 2.0]),
+        rank=st.integers(1, 30),
+    )
+    def test_matches_svd_reference(self, d, seed, scale, t_frac, rank):
+        rng = np.random.default_rng(seed)
+        vecs = rng.standard_normal((d, min(rank, d)))
+        vals = rng.standard_normal(vecs.shape[1])
+        b = (vecs * vals) @ vecs.T
+        b = scale * (b + b.T)
+        assert np.array_equal(b, b.T)
+        norm = np.linalg.norm(b, 2)
+        got = _svt(b, t_frac * norm)
+        assert np.array_equal(got, got.T)
+        tol = 1e-10 * max(1.0, norm)
+        assert np.abs(got - _svd_svt(b, t_frac * norm)).max() <= tol
+
+
 class TestCompleteNuclear:
     def test_complete_observation_identity(self):
         rng = np.random.default_rng(92)
@@ -129,6 +223,25 @@ class TestCompleteNuclear:
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError):
             complete_nuclear(SymMatrix(np.eye(3)), ObservationGraph(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 5, 500]),
+    )
+    def test_symmetric_and_pinned_on_random_masks(self, d, density, seed, max_iter):
+        rng = np.random.default_rng(seed)
+        mask = np.triu(rng.random((d, d)) < density)
+        mask = mask | mask.T
+        a = rng.standard_normal((d, d))
+        m = SymMatrix(np.where(mask, a + a.T, 0.0))
+        y, info = _complete_nuclear(m.a, mask, 1e-6, max_iter)
+        assert np.array_equal(y, y.T)
+        assert np.array_equal(y[mask], m.a[mask])
+        assert info["observed_violation"] == 0.0
+        assert 1 <= info["iterations"] <= max_iter
 
 
 class TestMcThenSdp:

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spcarec.bounds import tail_bound_value, tau, tail_bound_montecarlo, masking_difference_check
+from spcarec.bounds import (
+    _TAIL_BLOCK,
+    masking_difference_check,
+    tail_bound_montecarlo,
+    tail_bound_value,
+    tau,
+)
 from spcarec.errors import Disconnected, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
@@ -95,6 +103,32 @@ class TestTheorem3:
         with pytest.raises(Disconnected):
             masking_difference_check(SymMatrix(np.eye(4)), ObservationGraph(4, [(0, 1)]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        rank=st.integers(1, 10),
+        scale=st.sampled_from([0.0, 1e-6, 1.0, 1e6]),
+        p_edge=st.floats(0.0, 1.0),
+        p_loop=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_holds_on_connected_graphs(self, n, rank, scale, p_edge, p_loop, seed):
+        # a random spanning tree keeps the graph connected; extra edges and
+        # loops vary its degrees, and a low-rank Y makes tau small
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        edges = [(int(order[i]), int(order[rng.integers(i)])) for i in range(1, n)]
+        edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p_edge]
+        edges += [(i, i) for i in range(n) if rng.random() < p_loop]
+        vecs = rng.standard_normal((n, min(rank, n)))
+        vals = rng.standard_normal(vecs.shape[1])
+        y = SymMatrix(scale * (vecs * vals) @ vecs.T)
+        try:
+            lhs, rhs, holds = masking_difference_check(y, ObservationGraph(n, edges))
+        except IrregularityUndefined:
+            return
+        assert holds, (lhs, rhs)
+
 
 class TestTailBoundValue:
     def test_monotone_in_t(self):
@@ -155,3 +189,52 @@ class TestTheorem2MonteCarlo:
             tail_bound_montecarlo(0.0, pattern, 1.0, 1000, 0)
         with pytest.raises(ValueError):
             tail_bound_montecarlo(1.0, pattern, 1.0, 999, 0)
+
+
+def _per_trial_tail_norms(sigma, mask, trials, rng_seed):
+    """The per-trial loop tail_bound_montecarlo ran before its trials were
+    batched, kept as the reference: one draw and one SVD per trial.
+    Returns every trial's spectral norm; trial k exceeds t if norm >= t."""
+    m, n = mask.shape
+    norms = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, trial)))
+        z = np.where(mask, rng.standard_normal((m, n)) * sigma, 0.0)
+        norms.append(np.linalg.svd(z, compute_uv=False)[0] if z.size else 0.0)
+    return norms
+
+
+# the fewest trials tail_bound_montecarlo accepts that fill whole blocks
+_WHOLE_BLOCKS = -(-1000 // _TAIL_BLOCK) * _TAIL_BLOCK
+
+
+class TestTailMatchesPerTrialLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(0, 6),
+        n=st.integers(0, 8),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        sigma=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+        t=st.sampled_from([-1.0, 0.0, 0.3, 1.0, 2.5, 6.0]),
+        trials=st.sampled_from([1000, 1001, _WHOLE_BLOCKS, _WHOLE_BLOCKS + 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=0, n=4, density=1.0, sigma=1.0, t=0.0, trials=1000, seed=0)
+    @example(m=3, n=0, density=1.0, sigma=1.0, t=0.5, trials=1001, seed=1)
+    @example(m=4, n=5, density=0.0, sigma=1.0, t=0.0, trials=1000, seed=2)
+    @example(m=4, n=5, density=0.0, sigma=1.0, t=0.5, trials=1001, seed=3)
+    def test_exceedances_equal(self, m, n, density, sigma, t, trials, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((m, n)) < density
+        pattern = bipartite_from_mask(mask)
+        norms = _per_trial_tail_norms(sigma, mask, trials, seed)
+        # at t equal to the first or last trial's norm and just above it,
+        # the counts differ unless that trial's draw is counted exactly once
+        edge = [norms[0], norms[-1]]
+        for t in [t] + edge + [np.nextafter(x, np.inf) for x in edge]:
+            check = tail_bound_montecarlo(sigma, pattern, t, trials, seed)
+            empirical = sum(norm >= t for norm in norms) / trials
+            se = math.sqrt(empirical * (1.0 - empirical) / trials)
+            assert check.empirical == empirical
+            assert check.holds == (empirical <= check.bound + 3.0 * se)
+            assert check.trials == trials

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, output, exit codes."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from spcarec.cli import main
-from spcarec.harness import load_matrix_csv, parse_rows_csv
+from spcarec.cli import build_parser, main
+from spcarec.harness import _METHODS, load_matrix_csv, parse_rows_csv
 
 
 @pytest.fixture
@@ -154,6 +156,17 @@ class TestExperiment:
             ]
         )
         assert code == 2
+
+    def test_method_choices_are_the_method_table(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        method = next(
+            a for a in sub.choices["experiment"]._actions if a.dest == "method"
+        )
+        assert list(method.choices) == list(_METHODS)
+        assert method.default in _METHODS
 
 
 class TestBounds:

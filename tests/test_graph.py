@@ -11,6 +11,7 @@ from spcarec.errors import BucketExhausted, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
     _loopless_laplacian,
+    _pair_table,
     _random_graph,
     adjacency,
     algebraic_connectivity,
@@ -484,3 +485,9 @@ class TestMaskReadOnly:
         blk = bipartite_block(random_graph(6, 20, 2), [0, 1])
         with pytest.raises(ValueError):
             blk.pattern[0, 0] = True
+
+    def test_cached_pair_table_read_only(self):
+        # _random_graph shares one table per n across every draw
+        for a in _pair_table(5):
+            with pytest.raises(ValueError):
+                a[0] = 0
