@@ -162,6 +162,16 @@ def _complete_nuclear(
     return y, info
 
 
+def _checked_observation(m, g: ObservationGraph) -> SymMatrix:
+    if not isinstance(m, SymMatrix):
+        m = SymMatrix(m)
+    if not g.mask.any():
+        raise ValueError("observation graph has no edges")
+    if g.n != m.dim:
+        raise ValueError("graph and matrix dimension mismatch")
+    return m
+
+
 def complete_nuclear(
     m: SymMatrix,
     g: ObservationGraph,
@@ -173,12 +183,7 @@ def complete_nuclear(
     The returned matrix is symmetric and agrees exactly with the observed
     entries of m.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    if not g.mask.any():
-        raise ValueError("observation graph has no edges")
-    if g.n != m.dim:
-        raise ValueError("graph and matrix dimension mismatch")
+    m = _checked_observation(m, g)
     y, _ = _complete_nuclear(m.a, g.mask, tol, max_iter)
     return SymMatrix(y)
 
@@ -191,12 +196,7 @@ def mc_then_sdp(
     max_iter: int = 5000,
 ) -> BaselineResult:
     """Nuclear-norm completion followed by the penalized spectrahedron solve."""
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    if not g.mask.any():
-        raise ValueError("observation graph has no edges")
-    if g.n != m.dim:
-        raise ValueError("graph and matrix dimension mismatch")
+    m = _checked_observation(m, g)
     y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
     sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
     return BaselineResult(

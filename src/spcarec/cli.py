@@ -155,7 +155,7 @@ def _cmd_experiment(args) -> int:
     if args.mode == "synthetic":
         rows = run_bucket_experiment(
             args.d, args.s, args.gap, sigma, args.budget, buckets,
-            args.reps, grid, a, args.seed, workers=args.workers,
+            args.reps, grid, a, args.seed,
         )
     else:
         if not args.matrix:
@@ -163,7 +163,6 @@ def _cmd_experiment(args) -> int:
         rows = pitprops_experiment(
             args.matrix, args.budget, buckets, sigma=sigma, reps=args.reps,
             rho_grid=grid, a=a, rng_seed=args.seed, method=args.method,
-            workers=args.workers,
         )
     emit_csv(rows, args.out)
     for r in rows:
@@ -279,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--a", type=float, default=None,
                    help="criterion weight; default 0.5 synthetic, 0.4 pitprops")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--workers", type=int, default=1)
+    e.add_argument("--workers", type=int, choices=[1], default=1,
+                   help="repetitions run serially; accepted only for "
+                   "existing scripts")
     e.add_argument("--matrix", default=None, help="pitprops matrix CSV")
     e.add_argument("--method", choices=list(_METHODS), default="sdp")
     e.add_argument("--out", required=True)

@@ -178,24 +178,25 @@ def irregularity(g: ObservationGraph) -> float:
     return max(max(d1, 0.0), max(d2, 0.0))
 
 
-def _node_set(g: ObservationGraph, nodes, what: str) -> list[int]:
+def _node_set(n: int, nodes, what: str) -> list[int]:
+    """`nodes` sorted and deduplicated; nonempty and within 0..n-1."""
     nodes = sorted(set(int(v) for v in nodes))
     if not nodes:
         raise ValueError(f"{what} must be nonempty")
-    if nodes[0] < 0 or nodes[-1] >= g.n:
+    if nodes[0] < 0 or nodes[-1] >= n:
         raise ValueError("node index out of range")
     return nodes
 
 
 def induced_subgraph(g: ObservationGraph, nodes) -> ObservationGraph:
     """Subgraph on `nodes`, relabeled 0..k-1 preserving the sorted order."""
-    nodes = _node_set(g, nodes, "node set")
+    nodes = _node_set(g.n, nodes, "node set")
     return _graph(g.mask[np.ix_(nodes, nodes)])
 
 
 def bipartite_block(g: ObservationGraph, left) -> BipartiteSubgraph:
     """Edges of g with exactly one endpoint in `left` (the block G_{J,J^c})."""
-    left = _node_set(g, left, "left set")
+    left = _node_set(g.n, left, "left set")
     if len(left) == g.n:
         raise ValueError("left set must be a proper subset of the nodes")
     in_left = np.zeros(g.n, dtype=bool)
@@ -282,11 +283,7 @@ def random_graph_bucketed(
     """
     if not ratio_lo < ratio_hi:
         raise ValueError("need ratio_lo < ratio_hi")
-    support = sorted(set(int(v) for v in support))
-    if not support:
-        raise ValueError("support must be nonempty")
-    if support[0] < 0 or support[-1] >= n:
-        raise ValueError("support index out of range")
+    support = _node_set(n, support, "support")
     for attempt in range(max_tries):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, attempt)))
         g = _random_graph(n, budget, rng)

@@ -1,16 +1,14 @@
 """Synthetic instance generation, CSV ingestion, and experiment runners.
 
 Randomness is counter based: every (bucket, repetition) pair derives its
-own integer seeds from the master seed, so results are bit-identical no
-matter how repetitions are scheduled across worker threads.
+own integer seeds from the master seed, so a repetition's result does not
+depend on which repetitions ran before it.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -259,19 +257,14 @@ def _rep_task(spec: _Spec, bucket_idx: int, bucket: tuple[float, float], rep: in
     return spec.score(inst, spec), rescaled
 
 
-def _run_buckets(spec: _Spec, buckets, workers: int) -> list[ExperimentRow]:
+def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
     if spec.reps < 1:
         raise ValueError("reps must be at least 1")
     reps = spec.reps
     rows = []
     for b, (lo, hi) in enumerate(buckets):
-        task = functools.partial(_rep_task, spec, b, (lo, hi))
         try:
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(task, range(reps)))
-            else:
-                results = [task(rep) for rep in range(reps)]
+            results = [_rep_task(spec, b, (lo, hi), rep) for rep in range(reps)]
         except BucketExhausted:
             rate = mean_rescaled = math.nan
         else:
@@ -308,7 +301,6 @@ def run_bucket_experiment(
     a: float = 0.5,
     rng_seed: int = 0,
     max_tries: int = DEFAULT_MAX_TRIES,
-    workers: int = 1,
 ) -> list[ExperimentRow]:
     """Monte-Carlo recovery rates over irregularity/connectivity buckets.
 
@@ -325,7 +317,7 @@ def run_bucket_experiment(
         rng_seed=rng_seed, max_tries=max_tries, score=_sdp_recoveries,
         rho_grid=rho_grid, a=a,
     )
-    return _run_buckets(spec, buckets, workers)
+    return _run_buckets(spec, buckets)
 
 
 def pitprops_experiment(
@@ -339,7 +331,6 @@ def pitprops_experiment(
     rng_seed: int = 0,
     method: str = "sdp",
     max_tries: int = DEFAULT_MAX_TRIES,
-    workers: int = 1,
     baseline_params=None,
 ) -> list[ExperimentRow]:
     """Recovery-rate experiment on the 13-variable pitprops covariance matrix.
@@ -379,7 +370,7 @@ def pitprops_experiment(
         score=score, rho_grid=rho_grid, a=a, baseline_params=baseline_params,
         m_star=m_star, support=tuple(sorted(support)),
     )
-    return _run_buckets(spec, buckets, workers)
+    return _run_buckets(spec, buckets)
 
 
 def _spectral_gap(m: SymMatrix) -> float:

@@ -13,12 +13,13 @@ entrywise soft thresholding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import ObservationGraph
 from .numerics import (
+    EigDecomp,
     SymMatrix,
     _eigh_descending,
     _project_spectrahedron_arr,
@@ -211,27 +212,13 @@ def solve_restricted(
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
     _check_solver_args(rho, tol, max_iter)
-    idx = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("support must be nonempty")
-    if idx[0] < 0 or idx[-1] >= m.dim:
-        raise ValueError("support index out of range")
+    idx, _ = _support_arrays(m.dim, support)
     sub = _admm(m.a[np.ix_(idx, idx)], float(rho), tol, max_iter, None)
     x = np.zeros((m.dim, m.dim))
     x[np.ix_(idx, idx)] = sub.x_hat.a
     x_hat = SymMatrix(x)
-    return SdpSolution(
-        x_hat=x_hat,
-        objective=sub.objective,
-        iterations=sub.iterations,
-        primal_residual=sub.primal_residual,
-        dual_residual=sub.dual_residual,
-        gap=sub.gap,
-        support=support_of(x_hat),
-        converged=sub.converged,
-        merit_history=sub.merit_history,
-        z_dual=None,
-        _state=None,
+    return replace(
+        sub, x_hat=x_hat, support=support_of(x_hat), z_dual=None, _state=None
     )
 
 
@@ -337,9 +324,13 @@ def _support_arrays(d: int, support) -> tuple[np.ndarray, np.ndarray]:
     return idx, comp
 
 
-def leading_eigenvector_checked(m_star: SymMatrix, support) -> np.ndarray:
-    """Leading eigenvector of m_star, validated to be supported on `support`."""
-    u1 = eigh(m_star).vectors[:, 0]
+def _checked_decomposition(
+    m_star: SymMatrix, support
+) -> tuple[EigDecomp, np.ndarray, np.ndarray]:
+    """eigh(m_star) and the support/complement index arrays, after checking
+    that the leading eigenvector is supported exactly on `support`."""
+    dec = eigh(m_star)
+    u1 = dec.vectors[:, 0]
     idx, comp = _support_arrays(m_star.dim, support)
     tol = 1e-8 * float(np.abs(u1).max())
     if np.any(np.abs(u1[idx]) <= tol) or (
@@ -348,7 +339,7 @@ def leading_eigenvector_checked(m_star: SymMatrix, support) -> np.ndarray:
         raise ValueError(
             "support does not match the nonzero pattern of the leading eigenvector"
         )
-    return u1
+    return dec, idx, comp
 
 
 def witness_certificate(
@@ -375,8 +366,8 @@ def witness_certificate(
         raise ValueError("rho must be positive for the witness construction")
 
     d = m.dim
-    u1 = leading_eigenvector_checked(m_star, support)
-    idx, comp = _support_arrays(d, support)
+    dec, idx, comp = _checked_decomposition(m_star, support)
+    u1 = dec.vectors[:, 0]
     s = idx.size
 
     z = np.sign(u1[idx])

@@ -21,13 +21,13 @@ from .graph import (
     degrees,
     induced_subgraph,
 )
-from .numerics import SymMatrix, eigh, spectral_norm
+from .numerics import SymMatrix, spectral_norm
 from .sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     SdpSolution,
+    _checked_decomposition,
     _support_arrays,
-    leading_eigenvector_checked,
     solve_sdp,
 )
 
@@ -230,13 +230,11 @@ def _condition_ingredients(m_star: SymMatrix, g: ObservationGraph, support):
     """Shared geometry for the rescaled parameter and the condition report."""
     if g.n != m_star.dim:
         raise ValueError("graph and matrix dimension mismatch")
-    u1 = leading_eigenvector_checked(m_star, support)
-    idx, comp = _support_arrays(m_star.dim, support)
-    dec = eigh(m_star)
+    dec, idx, comp = _checked_decomposition(m_star, support)
     if m_star.dim < 2:
         raise ValueError("need dimension at least 2 for a spectral gap")
     gap = float(dec.values[0] - dec.values[1])
-    min_u1 = float(np.abs(u1[idx]).min())
+    min_u1 = float(np.abs(dec.vectors[idx, 0]).min())
     phi, psi = block_quantities(g, idx)
     if phi <= 0.0:
         raise Disconnected("support block of the observation graph is disconnected")
@@ -263,14 +261,7 @@ def _condition_ingredients(m_star: SymMatrix, g: ObservationGraph, support):
     }
 
 
-def rescaled_parameter(
-    m_star: SymMatrix, g: ObservationGraph, sigma: float, support
-) -> float:
-    """Difficulty measure: recovery-condition left side over its constant-free
-    right side.  Smaller values predict easier support recovery."""
-    if not isinstance(m_star, SymMatrix):
-        m_star = SymMatrix(m_star)
-    q = _condition_ingredients(m_star, g, support)
+def _rescaled(q, sigma: float) -> float:
     s = q["s"]
     lhs = (
         q["norm_jj"] * q["psi"]
@@ -281,6 +272,16 @@ def rescaled_parameter(
     )
     denom = q["phi"] * q["gap"] * q["min_u1"] / s
     return lhs / denom
+
+
+def rescaled_parameter(
+    m_star: SymMatrix, g: ObservationGraph, sigma: float, support
+) -> float:
+    """Difficulty measure: recovery-condition left side over its constant-free
+    right side.  Smaller values predict easier support recovery."""
+    if not isinstance(m_star, SymMatrix):
+        m_star = SymMatrix(m_star)
+    return _rescaled(_condition_ingredients(m_star, g, support), sigma)
 
 
 def _xi_constant(m_star: SymMatrix, g: ObservationGraph, q) -> float:
@@ -388,7 +389,7 @@ def sufficient_conditions_report(
     return ConditionReport(
         ineq=records,
         xi=xi,
-        rescaled=rescaled_parameter(m_star, g, sigma, support),
+        rescaled=_rescaled(q, sigma),
         spectral_gap=gap,
         min_abs_u1=min_u1,
     )

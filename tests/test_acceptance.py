@@ -25,9 +25,13 @@ from spcarec.graph import (
     random_graph,
 )
 from spcarec.harness import (
+    DEFAULT_MAX_TRIES,
     emit_csv,
     pitprops_experiment,
     run_bucket_experiment,
+    _rep_task,
+    _sdp_recoveries,
+    _Spec,
 )
 from spcarec.numerics import SymMatrix, eigh, project_simplex
 from spcarec.sdp import kkt_report, solve_sdp, witness_certificate
@@ -35,8 +39,6 @@ from spcarec.sdp import kkt_report, solve_sdp, witness_certificate
 PITPROPS_PATH = Path(
     os.environ.get("SPCAREC_PITPROPS", Path(__file__).parent.parent / "data" / "pitprops.csv")
 )
-
-_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -219,11 +221,11 @@ def test_06_recovery_trend_over_buckets():
     buckets = [(0.0, 2.0), (8.0, 10.0), (16.0, 18.0)]
     rows10 = run_bucket_experiment(
         d=50, s=10, gap=10.0, sigma=0.0, budget=1250, buckets=buckets,
-        reps=20, rho_grid=_TREND_GRID, a=0.5, rng_seed=2026, workers=_WORKERS,
+        reps=20, rho_grid=_TREND_GRID, a=0.5, rng_seed=2026,
     )
     rows1 = run_bucket_experiment(
         d=50, s=10, gap=1.0, sigma=0.0, budget=1250, buckets=buckets[:1],
-        reps=20, rho_grid=_TREND_GRID, a=0.5, rng_seed=2026, workers=_WORKERS,
+        reps=20, rho_grid=_TREND_GRID, a=0.5, rng_seed=2026,
     )
     elapsed = time.perf_counter() - t0
     assert all(not r.skipped for r in rows10 + rows1)
@@ -253,12 +255,12 @@ def test_07_rescaled_parameter_collapse():
     rows10 = run_bucket_experiment(
         d=50, s=10, gap=10.0, sigma=0.0, budget=1250,
         buckets=[(0.0, 2.0), (4.0, 6.0), (8.0, 10.0)],
-        reps=reps, rho_grid=_TREND_GRID, a=0.5, rng_seed=2027, workers=_WORKERS,
+        reps=reps, rho_grid=_TREND_GRID, a=0.5, rng_seed=2027,
     )
     rows1 = run_bucket_experiment(
         d=50, s=10, gap=1.0, sigma=0.0, budget=1250,
         buckets=[(0.0, 2.0), (2.0, 4.0), (4.0, 6.0)],
-        reps=reps, rho_grid=_TREND_GRID, a=0.5, rng_seed=2027, workers=_WORKERS,
+        reps=reps, rho_grid=_TREND_GRID, a=0.5, rng_seed=2027,
     )
     assert all(not r.skipped for r in rows10 + rows1)
 
@@ -303,7 +305,6 @@ def test_08_pitprops_pipeline():
     buckets = [(0.0, 0.2)]
     common = dict(
         budget=100, buckets=buckets, sigma=0.1, reps=50, a=0.4, rng_seed=2028,
-        workers=_WORKERS,
     )
     sdp_rows = pitprops_experiment(PITPROPS_PATH, method="sdp", **common)
     dt_rows = pitprops_experiment(PITPROPS_PATH, method="dtspca", **common)
@@ -378,20 +379,30 @@ def test_09_numerics_invariants():
     _report(9, "numerics-invariants", True)
 
 
-def test_10_determinism_across_workers(tmp_path):
-    """Identical seeds give byte-identical experiment CSVs for 1 and N
-    worker threads."""
+def test_10_determinism_across_schedules(tmp_path):
+    """Identical seeds give byte-identical experiment CSVs, and each
+    repetition gives the same result in forward, reversed and shuffled
+    order, so no state passes from one repetition to the next."""
+    buckets = [(0.0, 2.0), (2.0, 5.0)]
     kwargs = dict(
-        d=20, s=4, gap=8.0, sigma=0.1, budget=200,
-        buckets=[(0.0, 2.0), (2.0, 5.0)], reps=4,
+        d=20, s=4, gap=8.0, sigma=0.1, budget=200, buckets=buckets, reps=4,
         rho_grid=(0.1, 0.3, 0.6), a=0.5, rng_seed=2030,
     )
-    rows_seq = run_bucket_experiment(**kwargs, workers=1)
-    rows_par = run_bucket_experiment(**kwargs, workers=3)
-    p1 = tmp_path / "seq.csv"
-    p2 = tmp_path / "par.csv"
-    emit_csv(rows_seq, p1)
-    emit_csv(rows_par, p2)
-    identical = p1.read_bytes() == p2.read_bytes()
+    p1 = tmp_path / "run1.csv"
+    p2 = tmp_path / "run2.csv"
+    emit_csv(run_bucket_experiment(**kwargs), p1)
+    emit_csv(run_bucket_experiment(**kwargs), p2)
+    spec = _Spec(
+        d=20, s=4, gap=8.0, sigma=0.1, budget=200, reps=4, rng_seed=2030,
+        max_tries=DEFAULT_MAX_TRIES, score=_sdp_recoveries,
+        rho_grid=(0.1, 0.3, 0.6), a=0.5,
+    )
+    keys = [(b, bucket, rep) for b, bucket in enumerate(buckets) for rep in range(4)]
+    shuffled = [keys[i] for i in np.random.default_rng(2030).permutation(len(keys))]
+    runs = [
+        {key: _rep_task(spec, *key) for key in order}
+        for order in (keys, keys[::-1], shuffled)
+    ]
+    identical = p1.read_bytes() == p2.read_bytes() and runs[0] == runs[1] == runs[2]
     _report(10, "determinism", identical)
     assert identical

@@ -224,6 +224,19 @@ class TestCompleteNuclear:
         with pytest.raises(ValueError):
             complete_nuclear(SymMatrix(np.eye(3)), ObservationGraph(3))
 
+    @pytest.mark.parametrize(
+        "call", [complete_nuclear, lambda m, g: mc_then_sdp(m, g, 0.1)]
+    )
+    def test_input_validation(self, call):
+        with pytest.raises(ValueError, match="no edges"):
+            call(SymMatrix(np.eye(3)), ObservationGraph(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(SymMatrix(np.eye(3)), _complete_with_loops(4))
+        with pytest.raises(ValueError, match="square"):
+            call(np.ones((2, 3)), _complete_with_loops(2))
+        out = call(np.eye(3).tolist(), _complete_with_loops(3))
+        assert out is not None
+
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(1, 20),

@@ -157,6 +157,19 @@ class TestExperiment:
         )
         assert code == 2
 
+    def test_workers_accepts_only_one(self, tmp_path):
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
+            "--grid-start", "0.1", "--grid-stop", "0.4", "--grid-step", "0.15",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv + ["--workers", "1"]) == 0
+        assert len(parse_rows_csv(tmp_path / "r.csv")) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+
     def test_method_choices_are_the_method_table(self):
         sub = next(
             a for a in build_parser()._actions

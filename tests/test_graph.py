@@ -238,6 +238,13 @@ class TestRandomGraphBucketed:
         phi, psi = block_quantities(g, range(10))
         assert 0.0 <= psi / phi < 2.0
 
+    def test_support_validated(self):
+        with pytest.raises(ValueError, match="support must be nonempty"):
+            random_graph_bucketed(8, 40, [], 0.0, 1.0, 5, 0)
+        for support in ([0, 8], [-1, 2]):
+            with pytest.raises(ValueError, match="out of range"):
+                random_graph_bucketed(8, 40, support, 0.0, 1.0, 5, 0)
+
     def test_deterministic(self):
         a = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)
         b = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)

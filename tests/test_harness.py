@@ -9,6 +9,7 @@ import pytest
 from spcarec.errors import MatrixParseError
 from spcarec.graph import ObservationGraph, adjacency, random_graph
 from spcarec.harness import (
+    DEFAULT_MAX_TRIES,
     PITPROPS_SUPPORT_NAMES,
     PITPROPS_VARIABLES,
     ExperimentRow,
@@ -20,6 +21,9 @@ from spcarec.harness import (
     run_bucket_experiment,
     write_mask_csv,
     write_matrix_csv,
+    _rep_task,
+    _sdp_recoveries,
+    _Spec,
 )
 from spcarec.numerics import SymMatrix, eigh
 
@@ -111,19 +115,31 @@ class TestRunBucketExperiment:
             "46c45d2597ba766f117de27aaad85e7c0092c5ed91e8c03ed62247279f23953d"
         )
 
-    def test_workers_bit_identical(self, tmp_path):
+    def test_repetitions_share_no_state(self, tmp_path):
+        # every (bucket, rep) result must not depend on which repetitions
+        # ran before it, and a second run must give the same bytes
         kwargs = dict(
             d=12, s=4, gap=8.0, sigma=0.1, budget=100,
             buckets=[(0.0, 2.0), (2.0, 5.0)], reps=4,
             rho_grid=(0.1, 0.3, 0.6), a=0.5, rng_seed=7,
         )
-        rows1 = run_bucket_experiment(**kwargs, workers=1)
-        rows3 = run_bucket_experiment(**kwargs, workers=3)
-        assert rows1 == rows3
-        p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-        emit_csv(rows1, p1)
-        emit_csv(rows3, p3)
-        assert p1.read_bytes() == p3.read_bytes()
+        spec = _Spec(
+            d=12, s=4, gap=8.0, sigma=0.1, budget=100, reps=4, rng_seed=7,
+            max_tries=DEFAULT_MAX_TRIES, score=_sdp_recoveries,
+            rho_grid=(0.1, 0.3, 0.6), a=0.5,
+        )
+        keys = [(b, bucket, rep) for b, bucket in enumerate(kwargs["buckets"])
+                for rep in range(4)]
+        shuffled = [keys[i] for i in np.random.default_rng(0).permutation(len(keys))]
+        runs = [
+            {key: _rep_task(spec, *key) for key in order}
+            for order in (keys, keys[::-1], shuffled)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
+        emit_csv(run_bucket_experiment(**kwargs), p1)
+        emit_csv(run_bucket_experiment(**kwargs), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def _csv_sha256(rows, tmp_path):

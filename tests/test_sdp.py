@@ -344,6 +344,26 @@ class TestSolveRestricted:
         with pytest.raises(ValueError):
             solve_restricted(SymMatrix(np.eye(3)), 0.1, [])
 
+    def test_out_of_range_support_rejected(self):
+        for support in ([0, 3], [-1, 1]):
+            with pytest.raises(ValueError, match="out of range"):
+                solve_restricted(SymMatrix(np.eye(3)), 0.1, support)
+
+    def test_diagnostics_are_the_sub_solve(self):
+        rng = np.random.default_rng(27)
+        m = _random_sym(rng, 7)
+        idx = [1, 3, 4]
+        rest = solve_restricted(m, 0.2, [4, 1, 3, 1])
+        sub = solve_sdp(SymMatrix(m.a[np.ix_(idx, idx)]), 0.2)
+        for name in ("objective", "iterations", "primal_residual",
+                     "dual_residual", "gap", "converged"):
+            assert getattr(rest, name) == getattr(sub, name)
+        assert np.array_equal(rest.merit_history, sub.merit_history)
+        assert np.array_equal(rest.x_hat.a[np.ix_(idx, idx)], sub.x_hat.a)
+        assert rest.x_hat.dim == 7
+        assert rest.support == {idx[i] for i in sub.support}
+        assert rest.z_dual is None and rest._state is None
+
 
 class TestSupportOf:
     def test_rank_one(self):

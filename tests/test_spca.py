@@ -305,6 +305,16 @@ class TestSufficientConditionsReport:
         b = sufficient_conditions_report(inst.m_star, g, 0.1, 0.2, inst.support)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [76, 77, 78])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_rescaled_equals_rescaled_parameter(self, seed, sigma):
+        from spcarec.harness import gen_instance
+
+        g = random_graph(10, 80, seed)
+        inst = gen_instance(10, 3, 5.0, 0.0, g, seed + 100)
+        rep = sufficient_conditions_report(inst.m_star, g, sigma, 0.2, inst.support)
+        assert rep.rescaled == rescaled_parameter(inst.m_star, g, sigma, inst.support)
+
     def test_xi_matches_definition(self):
         from spcarec.harness import gen_instance
 
