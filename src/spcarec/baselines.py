@@ -89,7 +89,7 @@ def itspca(
     delta = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        w = _soft_threshold_arr(a @ v, threshold)[0]
+        w = _soft_threshold_arr(a @ v, threshold)
         nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             raise ThresholdTooLarge(
@@ -118,7 +118,7 @@ def _svt(b: np.ndarray, t: float) -> np.ndarray:
     projection, so it is exactly symmetric.
     """
     vals, vecs = np.linalg.eigh(b)
-    w = (vecs * _soft_threshold_arr(vals, t)[0]) @ vecs.T
+    w = (vecs * _soft_threshold_arr(vals, t)) @ vecs.T
     return 0.5 * (w + w.T)
 
 

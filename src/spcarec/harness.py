@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TRIES = 100_000
-# harness solves use a slightly looser tolerance than the library default;
-# support extraction is insensitive at this level and the sweep is ~3x faster
+# harness solves use a slightly looser tolerance than the library default:
+# on d=20, s=4, gap 8, budget 200 repetitions with the 40-point CLI grid the
+# sweep takes 1.6-1.7x fewer ADMM iterations than at 1e-7, with the same
+# chosen support (40 repetitions, 5 seeds)
 _EXPERIMENT_TOL = 1e-6
 
 PITPROPS_VARIABLES = (
@@ -418,21 +420,27 @@ def _read_rows(path) -> tuple[list[list[str]], list[str] | None]:
     return raw, names
 
 
-def _load_matrix(path, mask_path):
-    raw, names = _read_rows(path)
-    d = len(raw)
+def _parse_grid(raw, d: int, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse d rows of d cells into (values, observed); NA cells are unobserved."""
     values = np.zeros((d, d))
     observed = np.zeros((d, d), dtype=bool)
     for i, row in enumerate(raw):
         if len(row) != d:
             raise MatrixParseError(
-                f"row {i}: expected {d} columns, found {len(row)}"
+                f"{label} {i}: expected {d} columns, found {len(row)}"
             )
         for j, tok in enumerate(row):
             cell = _parse_cell(tok, i, j)
             if cell is not None:
                 values[i, j] = cell
                 observed[i, j] = True
+    return values, observed
+
+
+def _load_matrix(path, mask_path):
+    raw, names = _read_rows(path)
+    d = len(raw)
+    values, observed = _parse_grid(raw, d, "row")
     if names is not None and len(names) != d:
         raise MatrixParseError("header length does not match matrix dimension")
 
@@ -440,19 +448,14 @@ def _load_matrix(path, mask_path):
         mraw, _ = _read_rows(mask_path)
         if len(mraw) != d:
             raise MatrixParseError("mask dimension does not match matrix")
-        mask = np.zeros((d, d), dtype=bool)
-        for i, row in enumerate(mraw):
-            if len(row) != d:
-                raise MatrixParseError(
-                    f"mask row {i}: expected {d} columns, found {len(row)}"
-                )
-            for j, tok in enumerate(row):
-                cell = _parse_cell(tok, i, j)
-                if cell not in (0.0, 1.0):
-                    raise MatrixParseError(
-                        f"mask row {i}, column {j}: entries must be 0 or 1"
-                    )
-                mask[i, j] = bool(cell)
+        mvals, mobs = _parse_grid(mraw, d, "mask row")
+        bad = np.argwhere(~(mobs & ((mvals == 0.0) | (mvals == 1.0))))
+        if bad.size:
+            i, j = bad[0]
+            raise MatrixParseError(
+                f"mask row {i}, column {j}: entries must be 0 or 1"
+            )
+        mask = mvals == 1.0
         # NA cells, if any, must sit outside the mask
         bad = np.argwhere(mask & ~observed)
         if bad.size:

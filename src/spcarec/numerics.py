@@ -162,14 +162,14 @@ def project_spectrahedron(a: SymMatrix) -> SymMatrix:
     return SymMatrix(_project_spectrahedron_arr(a.a))
 
 
-def _soft_threshold_arr(b: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """sign(b) * max(|b| - t, 0), and the magnitudes max(|b| - t, 0)."""
+def _soft_threshold_arr(b: np.ndarray, t: float) -> np.ndarray:
+    """sign(b) * max(|b| - t, 0)."""
     mag = np.abs(b)
     mag -= t
     np.maximum(mag, 0.0, out=mag)
     y = np.sign(b)
     y *= mag
-    return y, mag
+    return y
 
 
 def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
@@ -178,4 +178,4 @@ def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
         a = SymMatrix(a)
     if not np.isfinite(t) or t < 0:
         raise ValueError("threshold must be a nonnegative finite real")
-    return SymMatrix(_soft_threshold_arr(a.a, float(t))[0])
+    return SymMatrix(_soft_threshold_arr(a.a, float(t)))

@@ -47,8 +47,7 @@ SUPPORT_THRESHOLD = 1e-4
 # strictness margin for the certificate's strict inequalities
 _STRICT_MARGIN = 1e-10
 # convergence requires the residual test to hold this many consecutive
-# iterations; guards against single-iteration flukes and leaves a flat
-# merit tail behind every converged run
+# iterations, which guards against single-iteration flukes
 _CONVERGENCE_HOLD = 50
 
 
@@ -66,11 +65,10 @@ class SdpSolution:
     gap: float
     support: frozenset
     converged: bool
-    merit_history: np.ndarray
     # exact l1 subgradient extracted from the scaled dual variable
     # (None when rho == 0, where the subgradient is immaterial)
     z_dual: np.ndarray | None = field(default=None, repr=False)
-    # internal warm-start state (x, y, u, beta)
+    # internal warm-start state (y, u, beta)
     _state: tuple = field(default=None, repr=False)
 
 
@@ -81,48 +79,37 @@ def _admm(
     max_iter: int,
     state: tuple | None = None,
 ) -> SdpSolution:
+    # the callers check max_iter >= 1, so the first projection assigns x
+    # (and the loop assigns iterations) before anything reads them
     d = m.shape[0]
     if state is None:
-        x = np.eye(d) / d
-        y = x.copy()
+        y = np.eye(d) / d
         u = np.zeros((d, d))
         beta = 1.0
     else:
-        x, y, u, beta = state
-        x, y, u = x.copy(), y.copy(), u.copy()
+        y, u, beta = state
+        y, u = y.copy(), u.copy()
 
     # Frobenius norms are sqrt(v.v) on the raveled array, which is what
     # np.linalg.norm computes, without its dispatch
     sqrt = math.sqrt
-    mv = m.ravel()
     m_beta = m / beta
     t = rho / beta
-    merit: list[float] = []
     rn = sn = math.inf
     converged = False
-    iterations = 0
     hold = 0
     for iterations in range(1, max_iter + 1):
         x = _project_spectrahedron_arr(y - u + m_beta)
         y_old = y
-        # the magnitudes |y| also give ||y||_1 for the merit
-        y, mag = _soft_threshold_arr(x + u, t)
+        y = _soft_threshold_arr(x + u, t)
         u += x
         u -= y
 
         xv, yv, uv = x.ravel(), y.ravel(), u.ravel()
         dxy = (x - y).ravel()
         dy = (y - y_old).ravel()
-        u_norm = sqrt(uv.dot(uv))
         rn = sqrt(dxy.dot(dxy)) / max(1.0, sqrt(xv.dot(xv)), sqrt(yv.dot(yv)))
-        sn = beta * sqrt(dy.dot(dy)) / max(1.0, beta * u_norm)
-        dxy += uv
-        merit.append(
-            -float(mv.dot(xv))
-            + rho * float(mag.sum())
-            + 0.5 * beta * float(dxy.dot(dxy))
-            - 0.5 * beta * u_norm**2
-        )
+        sn = beta * sqrt(dy.dot(dy)) / max(1.0, beta * sqrt(uv.dot(uv)))
         if max(rn, sn) <= tol:
             hold += 1
             if hold >= _CONVERGENCE_HOLD:
@@ -130,8 +117,7 @@ def _admm(
                 break
         else:
             hold = 0
-        # rebalance the penalty while far from convergence; freezing it near
-        # the solution keeps the merit tail smooth
+        # rebalance the penalty only while far from convergence
         if max(rn, sn) >= 100.0 * tol:
             if rn > 10.0 * sn and beta < 1e6:
                 beta *= 2.0
@@ -162,9 +148,8 @@ def _admm(
         gap=gap,
         support=support_of(x_hat),
         converged=converged,
-        merit_history=np.asarray(merit),
         z_dual=z_dual,
-        _state=(x, y, u, beta),
+        _state=(y, u, beta),
     )
 
 

@@ -196,6 +196,38 @@ class TestLoadMatrixCsv:
         np.testing.assert_allclose(m.a, [[1.0, 0.0], [0.0, 2.0]])
         assert g == ObservationGraph(2, [(0, 0), (1, 1)])
 
+    def test_mask_dimension_mismatch_rejected(self, tmp_path):
+        mp = _write(tmp_path, "m.csv", "1,0.5\n0.5,2\n")
+        kp = _write(tmp_path, "k.csv", "1,0,0\n0,1,0\n0,0,1\n")
+        with pytest.raises(MatrixParseError, match="mask dimension does not match"):
+            load_matrix_csv(mp, kp)
+
+    def test_ragged_mask_row_rejected(self, tmp_path):
+        mp = _write(tmp_path, "m.csv", "1,0.5\n0.5,2\n")
+        kp = _write(tmp_path, "k.csv", "1,0\n1\n")
+        with pytest.raises(
+            MatrixParseError, match="mask row 1: expected 2 columns, found 1"
+        ):
+            load_matrix_csv(mp, kp)
+
+    @pytest.mark.parametrize("entry", ["2", "NA", "-1", "0.5", "nan"])
+    def test_mask_entry_not_zero_or_one_rejected(self, tmp_path, entry):
+        mp = _write(tmp_path, "m.csv", "1,0.5\n0.5,2\n")
+        kp = _write(tmp_path, "k.csv", f"1,0\n0,{entry}\n")
+        with pytest.raises(
+            MatrixParseError, match=r"mask row 1, column 1: entries must be 0 or 1"
+        ):
+            load_matrix_csv(mp, kp)
+
+    def test_mask_observing_na_cell_rejected(self, tmp_path):
+        mp = _write(tmp_path, "m.csv", "1,NA\nNA,2\n")
+        kp = _write(tmp_path, "k.csv", "1,1\n1,1\n")
+        with pytest.raises(
+            MatrixParseError,
+            match=r"mask marks \(0, 1\) observed but the matrix file has NA there",
+        ):
+            load_matrix_csv(mp, kp)
+
     def test_header_row_accepted(self, tmp_path):
         p = _write(tmp_path, "m.csv", "a,b\n1,0.5\n0.5,2\n")
         m, g = load_matrix_csv(p)
