@@ -45,8 +45,7 @@ class BaselineResult:
 def dtspca(m: SymMatrix, k: int) -> BaselineResult:
     """Support = indices of the k largest diagonal entries; ties go to the
     lowest index."""
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     if not 1 <= k <= m.dim:
         raise ValueError(f"k must be in [1, {m.dim}]")
     diag = np.diag(m.a)
@@ -73,8 +72,7 @@ def itspca(
     vector when rng_seed is given.  Raises ThresholdTooLarge if the
     iterate collapses to zero.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     d = m.dim
@@ -127,9 +125,8 @@ def _complete_nuclear(
     observed: np.ndarray,
     tol: float,
     max_iter: int,
-    beta: float = 1.0,
 ) -> tuple[np.ndarray, dict]:
-    """ADMM with singular-value thresholding for
+    """ADMM (penalty 1) with singular-value thresholding for
     min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool).
 
     m and `observed` must be exactly symmetric.  Every iterate then stays
@@ -142,7 +139,7 @@ def _complete_nuclear(
     residual = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        w = _svt(y - u, 1.0 / beta)
+        w = _svt(y - u, 1.0)
         # projection onto {symmetric, observed entries pinned}
         y_new = w + u
         y_new[observed] = m[observed]
@@ -163,8 +160,7 @@ def _complete_nuclear(
 
 
 def _checked_observation(m, g: ObservationGraph) -> SymMatrix:
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     if not g.mask.any():
         raise ValueError("observation graph has no edges")
     if g.n != m.dim:

@@ -16,8 +16,8 @@ from .errors import Disconnected
 from .graph import (
     BipartiteSubgraph,
     ObservationGraph,
+    _irregularity,
     algebraic_connectivity,
-    irregularity,
 )
 from .numerics import SymMatrix, spectral_norm
 
@@ -36,8 +36,7 @@ def tau(y: SymMatrix) -> float:
     not count toward the rank.  Returns 0 for the zero matrix; otherwise
     the value lies in (0, 1].
     """
-    if not isinstance(y, SymMatrix):
-        y = SymMatrix(y)
+    y = SymMatrix(y)
     vals, vecs = np.linalg.eigh(y.a)
     scale = float(np.abs(vals).max(initial=0.0))
     if scale == 0.0:
@@ -55,14 +54,13 @@ def masking_difference_check(
     The inequality is a theorem, so a False result on valid input
     indicates a bug.
     """
-    if not isinstance(y, SymMatrix):
-        y = SymMatrix(y)
+    y = SymMatrix(y)
     if y.dim != g.n:
         raise ValueError("matrix and graph dimension mismatch")
     phi = algebraic_connectivity(g)
     if phi <= 0.0:
         raise Disconnected("graph is disconnected")
-    psi = irregularity(g)
+    psi = _irregularity(g.mask, phi)
     n = g.n
     lhs = spectral_norm(y.a - (n / phi) * (g.mask * y.a))
     rhs = (n * tau(y) * psi / phi) * spectral_norm(y)

@@ -153,6 +153,11 @@ def _cmd_experiment(args) -> int:
     )
     a = args.a if args.a is not None else (0.5 if args.mode == "synthetic" else 0.4)
     if args.mode == "synthetic":
+        if args.method != "sdp":
+            raise MatrixParseError(
+                f"--method {args.method} applies only to pitprops mode; "
+                "synthetic mode runs sdp"
+            )
         rows = run_bucket_experiment(
             args.d, args.s, args.gap, sigma, args.budget, buckets,
             args.reps, grid, a, args.seed,

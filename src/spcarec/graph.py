@@ -113,8 +113,12 @@ class BipartiteSubgraph:
 
     def max_degree(self) -> int:
         """Max incident-edge count over all vertices on both sides."""
-        p = self.pattern
-        return int(max(p.sum(axis=1).max(initial=0), p.sum(axis=0).max(initial=0)))
+        return _bipartite_max_degree(self.pattern)
+
+
+def _bipartite_max_degree(p: np.ndarray) -> int:
+    """Max row or column count of a bool bipartite pattern."""
+    return int(max(p.sum(axis=1).max(initial=0), p.sum(axis=0).max(initial=0)))
 
 
 def bipartite_from_mask(mask) -> BipartiteSubgraph:
@@ -142,19 +146,35 @@ def degrees(g: ObservationGraph) -> np.ndarray:
     return g.mask.sum(axis=1)
 
 
-def _loopless_laplacian(g: ObservationGraph) -> np.ndarray:
+def _loopless_laplacian(mask: np.ndarray) -> np.ndarray:
     # a loop adds 1 to both D_ii and A_ii, so it cancels exactly in D - A
-    a = g.mask.astype(float)
+    a = mask.astype(float)
     return np.diag(a.sum(axis=1)) - a
+
+
+def _connectivity(mask: np.ndarray) -> float:
+    """Algebraic connectivity of the graph with bool mask `mask` (>= 2 nodes)."""
+    phi = float(np.linalg.eigvalsh(_loopless_laplacian(mask))[1])
+    return phi if phi > _EIG_ZERO_TOL else 0.0
+
+
+def _irregularity(mask: np.ndarray, phi: float) -> float:
+    """Irregularity of the graph with bool mask `mask` and connectivity `phi`."""
+    comp = ~mask
+    d1 = float(mask.sum(axis=1).max()) - phi
+    d2 = float(comp.sum(axis=1).max()) - _connectivity(comp)
+    if d1 < -_EIG_ZERO_TOL or d2 < -_EIG_ZERO_TOL:
+        raise IrregularityUndefined(
+            f"max degree below connectivity (diffs {d1:.3g}, {d2:.3g})"
+        )
+    return max(max(d1, 0.0), max(d2, 0.0))
 
 
 def algebraic_connectivity(g: ObservationGraph) -> float:
     """Second-smallest Laplacian eigenvalue; 0 iff the graph is disconnected."""
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 nodes")
-    vals = np.linalg.eigvalsh(_loopless_laplacian(g))
-    phi = float(vals[1])
-    return phi if phi > _EIG_ZERO_TOL else 0.0
+    return _connectivity(g.mask)
 
 
 def complement(g: ObservationGraph) -> ObservationGraph:
@@ -168,14 +188,7 @@ def irregularity(g: ObservationGraph) -> float:
     Undefined (raises IrregularityUndefined) when either difference is
     negative, e.g. for the complete graph without loops.
     """
-    gc = complement(g)
-    d1 = float(degrees(g).max()) - algebraic_connectivity(g)
-    d2 = float(degrees(gc).max()) - algebraic_connectivity(gc)
-    if d1 < -_EIG_ZERO_TOL or d2 < -_EIG_ZERO_TOL:
-        raise IrregularityUndefined(
-            f"max degree below connectivity (diffs {d1:.3g}, {d2:.3g})"
-        )
-    return max(max(d1, 0.0), max(d2, 0.0))
+    return _irregularity(g.mask, algebraic_connectivity(g))
 
 
 def _node_set(n: int, nodes, what: str) -> list[int]:
@@ -184,7 +197,7 @@ def _node_set(n: int, nodes, what: str) -> list[int]:
     if not nodes:
         raise ValueError(f"{what} must be nonempty")
     if nodes[0] < 0 or nodes[-1] >= n:
-        raise ValueError("node index out of range")
+        raise ValueError(f"{what} index out of range")
     return nodes
 
 
@@ -218,14 +231,14 @@ def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
     nodes has connectivity k and irregularity 0, so the k = 1 limit is
     taken as (1, 0) regardless of whether the loop is observed.
     """
-    nodes = sorted(set(int(v) for v in nodes))
+    nodes = _node_set(g.n, nodes, "node set")
     if len(nodes) == 1:
         return 1.0, 0.0
-    sub = induced_subgraph(g, nodes)
-    phi = algebraic_connectivity(sub)
+    block = g.mask[np.ix_(nodes, nodes)]
+    phi = _connectivity(block)
     if phi <= 0.0:
         return 0.0, float("nan")
-    return phi, irregularity(sub)
+    return phi, _irregularity(block, phi)
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import _complete_nuclear, dtspca, itspca
+from .baselines import complete_nuclear, dtspca, itspca
 from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
-from .graph import ObservationGraph, graph_from_mask, random_graph_bucketed
+from .graph import ObservationGraph, _node_set, graph_from_mask, random_graph_bucketed
 from .numerics import SymMatrix
 from .spca import DEFAULT_RHO_GRID, rescaled_parameter, tune_rho
 
@@ -128,8 +128,8 @@ def gen_instance(
     if support is None:
         idx = np.sort(rng.choice(d, size=s, replace=False))
     else:
-        idx = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-        if idx.size != s or idx[0] < 0 or idx[-1] >= d:
+        idx = np.asarray(_node_set(d, support, "support"), dtype=int)
+        if idx.size != s:
             raise ValueError("support must contain s valid indices")
     u1 = np.zeros(d)
     u1[idx] = 1.0 / math.sqrt(s)
@@ -198,8 +198,8 @@ def _sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
 
 
 def _mc_sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
-    y, _ = _complete_nuclear(inst.m.a, inst.graph.mask, 1e-6, 5000)
-    trace = tune_rho(SymMatrix(y), spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
+    filled = complete_nuclear(inst.m, inst.graph)
+    trace = tune_rho(filled, spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
     return (trace.chosen_support == inst.support,)
 
 

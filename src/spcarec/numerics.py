@@ -38,15 +38,24 @@ class SymMatrix:
     Construction symmetrizes via (A + A^T)/2, which makes the stored array
     exactly symmetric entry by entry, and rejects non-finite input.  The
     backing array is marked read-only; treat instances as immutable values.
+    SymMatrix(s) returns s itself when s is already a SymMatrix.
     """
 
     __slots__ = ("a",)
 
-    def __init__(self, values):
+    def __new__(cls, values):
+        if isinstance(values, cls):
+            return values
         a = _validated_square(values)
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
-        object.__setattr__(self, "a", a)
+        self = super().__new__(cls)
+        self.a = a
+        return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __new__, which needs the values
+        return (SymMatrix, (self.a,))
 
     @property
     def dim(self) -> int:
@@ -84,8 +93,7 @@ def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigh(a: SymMatrix) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
+    a = SymMatrix(a)
     vals, vecs = _eigh_descending(a.a)
     vecs = _fix_signs(vecs)
     vals.setflags(write=False)
@@ -157,8 +165,7 @@ def project_spectrahedron(a: SymMatrix) -> SymMatrix:
     Computed by eigendecomposition followed by a simplex projection of
     the eigenvalues.
     """
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
+    a = SymMatrix(a)
     return SymMatrix(_project_spectrahedron_arr(a.a))
 
 
@@ -174,8 +181,7 @@ def _soft_threshold_arr(b: np.ndarray, t: float) -> np.ndarray:
 
 def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
     """Entrywise shrinkage sign(a_ij) * max(|a_ij| - t, 0); preserves symmetry."""
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
+    a = SymMatrix(a)
     if not np.isfinite(t) or t < 0:
         raise ValueError("threshold must be a nonnegative finite real")
     return SymMatrix(_soft_threshold_arr(a.a, float(t)))

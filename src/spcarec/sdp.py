@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import ObservationGraph
+from .graph import ObservationGraph, _node_set
 from .numerics import (
     EigDecomp,
     SymMatrix,
@@ -175,8 +175,7 @@ def solve_sdp(
     convergence means max(primal, dual) <= tol.  A run that hits max_iter
     is returned with converged=False rather than raising.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     _check_solver_args(rho, tol, max_iter)
     state = warm_start._state if warm_start is not None else None
     return _admm(m.a, float(rho), tol, max_iter, state)
@@ -194,8 +193,7 @@ def solve_restricted(
     Solves the |J| x |J| subproblem and embeds the optimizer back into the
     full dimension.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     _check_solver_args(rho, tol, max_iter)
     idx, _ = _support_arrays(m.dim, support)
     sub = _admm(m.a[np.ix_(idx, idx)], float(rho), tol, max_iter, None)
@@ -211,8 +209,7 @@ def support_of(x_hat: SymMatrix, threshold: float = SUPPORT_THRESHOLD) -> frozen
     """Indices whose diagonal exceeds threshold times the max diagonal entry."""
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    if not isinstance(x_hat, SymMatrix):
-        x_hat = SymMatrix(x_hat)
+    x_hat = SymMatrix(x_hat)
     dg = np.diag(x_hat.a)
     mx = float(dg.max(initial=0.0))
     if mx <= 0.0:
@@ -245,10 +242,8 @@ def kkt_report(
     stationarity residual ||(M - rho Z) X - mu X||_max and the feasibility
     violations of X.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    if not isinstance(x_hat, SymMatrix):
-        x_hat = SymMatrix(x_hat)
+    m = SymMatrix(m)
+    x_hat = SymMatrix(x_hat)
     rho = float(rho)
     x = x_hat.a
     if z_hat is not None:
@@ -298,11 +293,7 @@ class WitnessReport:
 
 
 def _support_arrays(d: int, support) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("support must be nonempty")
-    if idx[0] < 0 or idx[-1] >= d:
-        raise ValueError("support index out of range")
+    idx = np.asarray(_node_set(d, support, "support"), dtype=int)
     keep = np.ones(d, dtype=bool)
     keep[idx] = False
     comp = np.flatnonzero(keep)
@@ -340,10 +331,8 @@ def witness_certificate(
     expected observation A o M*, hence the ground truth.  Requires rho > 0
     since the off-support dual block divides by rho * ||x||_1.
     """
-    if not isinstance(m_star, SymMatrix):
-        m_star = SymMatrix(m_star)
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m_star = SymMatrix(m_star)
+    m = SymMatrix(m)
     if m_star.dim != m.dim or g.n != m.dim:
         raise ValueError("dimension mismatch between matrices and graph")
     rho = float(rho)

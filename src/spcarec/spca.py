@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBaseline, Disconnected
-from .graph import (
-    ObservationGraph,
-    bipartite_block,
-    block_quantities,
-    degrees,
-    induced_subgraph,
-)
+from .graph import ObservationGraph, _bipartite_max_degree, block_quantities
 from .numerics import SymMatrix, spectral_norm
 from .sdp import (
     DEFAULT_MAX_ITER,
@@ -59,8 +53,7 @@ def recover_support(
     An identically zero observation carries no signal and returns the
     empty support.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter)
     if not np.any(m.a):
         return frozenset(), sol
@@ -96,17 +89,10 @@ def criterion(
 ) -> float:
     """Tuning criterion: explained-variance ratio traded against sparsity.
 
-    C = (1-a) <M, X_rho> / <M, X_0> + a (1 - |supp(diag(X_rho))| / d).
+    C = (1-a) <M, X_rho> / <M, X_0> + a (1 - |supp(diag(X_rho))| / d),
+    evaluated as the one-point grid search tune_rho(m, (rho,), a).
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    if not 0.0 < a < 1.0:
-        raise ValueError("weight a must lie strictly between 0 and 1")
-    base_sol, baseline = _baseline(m, tol, max_iter)
-    sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=base_sol)
-    return _criterion_value(
-        _explained(m.a, sol.x_hat.a), baseline, len(sol.support), m.dim, a
-    )
+    return tune_rho(m, (rho,), a, tol=tol, max_iter=max_iter).criteria[0]
 
 
 @dataclass(frozen=True)
@@ -147,8 +133,7 @@ def tune_rho(
     warm-started from the previous grid point, which does not change the
     converged solutions but cuts the iteration count considerably.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
+    m = SymMatrix(m)
     if not 0.0 < a < 1.0:
         raise ValueError("weight a must lie strictly between 0 and 1")
     grid = tuple(sorted(float(r) for r in grid))
@@ -198,14 +183,14 @@ def tune_rho(
 def _block_max_degrees(
     g: ObservationGraph, idx: np.ndarray, comp: np.ndarray
 ) -> tuple[int, int, int]:
-    """(max degree of G_JJ, of the bipartite block G_{J,Jc}, of G_{JcJc})."""
-    d_jj = int(degrees(induced_subgraph(g, idx)).max()) if idx.size else 0
-    if comp.size:
-        d_cross = bipartite_block(g, idx).max_degree()
-        d_cc = int(degrees(induced_subgraph(g, comp)).max())
-    else:
-        d_cross = 0
-        d_cc = 0
+    """(max degree of G_JJ, of the bipartite block G_{J,Jc}, of G_{JcJc});
+    `idx` is a nonempty support and `comp` its complement in 0..g.n-1."""
+    mask = g.mask
+    d_jj = int(mask[np.ix_(idx, idx)].sum(axis=1).max())
+    if comp.size == 0:
+        return d_jj, 0, 0
+    d_cross = _bipartite_max_degree(mask[np.ix_(idx, comp)])
+    d_cc = int(mask[np.ix_(comp, comp)].sum(axis=1).max())
     return d_jj, d_cross, d_cc
 
 
@@ -216,8 +201,9 @@ def theoretical_rho(
 
     2 sigma sqrt(max{Dmax(G_{J,Jc}), Dmax(G_{JcJc})} log d) + ||M*_{Jc,J}||_max.
     """
-    if not isinstance(m_star, SymMatrix):
-        m_star = SymMatrix(m_star)
+    m_star = SymMatrix(m_star)
+    if g.n != m_star.dim:
+        raise ValueError("graph and matrix dimension mismatch")
     idx, comp = _support_arrays(m_star.dim, support)
     if comp.size == 0:
         raise ValueError("support must be a proper subset")
@@ -279,8 +265,7 @@ def rescaled_parameter(
 ) -> float:
     """Difficulty measure: recovery-condition left side over its constant-free
     right side.  Smaller values predict easier support recovery."""
-    if not isinstance(m_star, SymMatrix):
-        m_star = SymMatrix(m_star)
+    m_star = SymMatrix(m_star)
     return _rescaled(_condition_ingredients(m_star, g, support), sigma)
 
 
@@ -342,8 +327,7 @@ def sufficient_conditions_report(
     The spectral gap of the full matrix is used throughout (it lower-bounds
     the gap of the support block, so the evaluation is conservative).
     """
-    if not isinstance(m_star, SymMatrix):
-        m_star = SymMatrix(m_star)
+    m_star = SymMatrix(m_star)
     q = _condition_ingredients(m_star, g, support)
     s, d = q["s"], q["d"]
     gap, min_u1, phi, psi = q["gap"], q["min_u1"], q["phi"], q["psi"]

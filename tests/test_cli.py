@@ -170,6 +170,17 @@ class TestExperiment:
             main(argv + ["--workers", "2"])
         assert exc.value.code == 2
 
+    def test_synthetic_rejects_other_methods(self, tmp_path, capsys):
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        for method in ("dtspca", "itspca", "mc_sdp"):
+            assert main(argv + ["--method", method]) == 2
+            assert "synthetic mode runs sdp" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_method_choices_are_the_method_table(self):
         sub = next(
             a for a in build_parser()._actions

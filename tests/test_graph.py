@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcarec.errors import BucketExhausted, IrregularityUndefined
+from spcarec.bounds import masking_difference_check, tau
+from spcarec.errors import BucketExhausted, Disconnected, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
     _loopless_laplacian,
@@ -26,6 +27,10 @@ from spcarec.graph import (
     random_graph,
     random_graph_bucketed,
 )
+from spcarec.harness import gen_instance
+from spcarec.numerics import SymMatrix, spectral_norm
+from spcarec.sdp import solve_restricted
+from spcarec.spca import theoretical_rho
 
 
 def _complete_with_loops(n):
@@ -435,7 +440,7 @@ class TestMatchesEdgeSetReference:
         deg = degrees(g)
         assert deg.dtype == _ref_degrees(ref).dtype
         np.testing.assert_array_equal(deg, _ref_degrees(ref))
-        lap_vals = np.linalg.eigvalsh(_loopless_laplacian(g))
+        lap_vals = np.linalg.eigvalsh(_loopless_laplacian(g.mask))
         ref_vals = np.linalg.eigvalsh(_ref_loopless_laplacian(ref))
         assert lap_vals.tobytes() == ref_vals.tobytes()
         _same_edges(complement(g), _ref_complement(ref))
@@ -462,6 +467,65 @@ class TestMatchesEdgeSetReference:
             np.testing.assert_array_equal(blk.pattern, ref_pattern)
             assert blk.max_degree() == ref_dmax
             assert type(blk.max_degree()) is int
+
+
+class TestMaskingCheckMatchesReference:
+    def test_phi_psi_recomputed_from_edges(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(80):
+            n = int(rng.integers(2, 13))
+            g = random_graph(n, int(rng.integers(0, n * n + 1)), int(rng.integers(1e6)))
+            ref = _RefGraph(n, g.edges)
+            y = SymMatrix(rng.standard_normal((n, n)))
+            phi = _ref_connectivity(ref)
+            if phi <= 0.0:
+                with pytest.raises(Disconnected):
+                    masking_difference_check(y, g)
+                continue
+            try:
+                psi = _ref_irregularity(ref)
+            except IrregularityUndefined:
+                with pytest.raises(IrregularityUndefined):
+                    masking_difference_check(y, g)
+                continue
+            mask = _ref_adjacency(ref).astype(bool)
+            lhs = spectral_norm(y.a - (n / phi) * (mask * y.a))
+            rhs = (n * tau(y) * psi / phi) * spectral_norm(y)
+            got = masking_difference_check(y, g)
+            assert got[:2] == (lhs, rhs)
+            assert got[2] == (lhs <= rhs + 1e-8 * max(1.0, rhs))
+            checked += 1
+        assert checked >= 20
+
+
+class TestIndexSetRule:
+    """Every support or node-set argument goes through one check with two
+    messages: "<what> must be nonempty" and "<what> index out of range"."""
+
+    @pytest.mark.parametrize(
+        "what, call",
+        [
+            ("node set", lambda g, nodes: block_quantities(g, nodes)),
+            ("node set", lambda g, nodes: induced_subgraph(g, nodes)),
+            ("left set", lambda g, nodes: bipartite_block(g, nodes)),
+            ("support", lambda g, nodes: random_graph_bucketed(
+                g.n, 20, nodes, 0.0, 1.0, 5, 0)),
+            ("support", lambda g, nodes: solve_restricted(
+                SymMatrix(np.eye(g.n)), 0.1, nodes)),
+            ("support", lambda g, nodes: gen_instance(
+                g.n, max(len(nodes), 1), 1.0, 0.0, g, 0, support=nodes)),
+            ("support", lambda g, nodes: theoretical_rho(
+                SymMatrix(np.eye(g.n)), g, 0.1, nodes)),
+        ],
+    )
+    def test_messages(self, what, call):
+        g = random_graph(6, 20, 3)
+        with pytest.raises(ValueError, match=f"^{what} must be nonempty$"):
+            call(g, [])
+        for nodes in ([6], [-1, 2], [0, 6]):
+            with pytest.raises(ValueError, match=f"^{what} index out of range$"):
+                call(g, nodes)
 
 
 class TestMaskReadOnly:

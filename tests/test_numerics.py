@@ -1,5 +1,8 @@
 """Numerics: eigendecomposition, norms, projections, shrinkage."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,26 @@ class TestSymMatrix:
         m = SymMatrix(np.eye(3))
         with pytest.raises(ValueError):
             m.a[0, 0] = 2.0
+
+    def test_idempotent_on_symmatrix(self):
+        m = SymMatrix(np.eye(3))
+        assert SymMatrix(m) is m
+
+    def test_array_input_copied_symmetrized_read_only(self):
+        a = np.array([[1.0, 2.0], [4.0, 3.0]])
+        m = SymMatrix(a)
+        assert not np.shares_memory(m.a, a)
+        assert m.a.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert not m.a.flags.writeable
+        a[0, 1] = 9.0
+        assert m.a[0, 1] == 3.0
+
+    def test_copy_and_pickle_round_trip(self):
+        m = SymMatrix(np.array([[1.0, 2.0], [4.0, 3.0]]))
+        for out in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(out) is SymMatrix
+            assert out.a.tobytes() == m.a.tobytes()
+            assert not out.a.flags.writeable
 
 
 class TestEigh:

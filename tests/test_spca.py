@@ -84,6 +84,13 @@ class TestCriterion:
         with pytest.raises(ValueError):
             criterion(SymMatrix(np.eye(2)), 0.1, 1.0)
 
+    def test_is_one_point_tune_rho(self):
+        rng = np.random.default_rng(12)
+        noise = 0.2 * rng.standard_normal((12, 12))
+        m = SymMatrix(_rank_one(12, [1, 4, 8]).a + noise + noise.T)
+        for rho in (0.0, 0.1, 0.3):
+            assert criterion(m, rho, 0.5) == tune_rho(m, (rho,), 0.5).criteria[0]
+
 
 class TestTuneRho:
     def test_singleton_grid(self):
@@ -164,6 +171,12 @@ class TestTheoreticalRho:
         ).max()
         got = theoretical_rho(m_star, g, sigma, support)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_dimension_mismatch_rejected(self):
+        m = _rank_one(4, [0, 1])
+        for n in (3, 5):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                theoretical_rho(m, _complete_with_loops(n), 0.1, [0, 1])
 
     def test_proper_subset_required(self):
         m = _rank_one(4, [0, 1, 2, 3])
