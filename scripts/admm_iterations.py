@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Count the ADMM iterations that two fixed solve batteries take.
+
+    PYTHONPATH=src python3 scripts/admm_iterations.py
+
+For each battery it prints the number of solves, the total ADMM
+iterations, the number of solves that stopped at max_iter without
+converging, and the worst relative certified gap, gap / max(1, |objective|),
+over all solves and over the converged ones.  Iteration counts do not
+depend on the machine, so two commits can be compared by these numbers
+alone.  The batteries are:
+
+* ``mc-easy``: the 200 repetitions of the benchmark's ``mc-easy`` pool
+  (``spcarec experiment`` at d=20, s=4, gap 8, sigma 0, budget 200,
+  bucket 0:2, one repetition each), with the experiment seeds read from
+  ``perfbench/reference.json``.  It also counts how many CSVs equal the
+  recorded reference bytes.
+* ``acceptance-02``: the 120 cold solves of
+  ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
+  (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
+
+The reference file is only read.  BLAS is pinned to one thread, as in the
+benchmark, before numpy is imported.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+import spcarec.sdp as sdp  # noqa: E402
+from spcarec import cli  # noqa: E402
+from spcarec.graph import adjacency, random_graph  # noqa: E402
+from spcarec.numerics import SymMatrix  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference.json"
+
+
+class _Recorder:
+    """Wraps ``sdp._admm``, through which every solver path runs, and keeps
+    (iterations, converged, relative gap) for each solve."""
+
+    def __init__(self):
+        self.solves = []
+        self._admm = sdp._admm
+
+    def __enter__(self):
+        def admm(*args, **kwargs):
+            sol = self._admm(*args, **kwargs)
+            rel = sol.gap / max(1.0, abs(sol.objective))
+            self.solves.append((sol.iterations, sol.converged, rel))
+            return sol
+
+        sdp._admm = admm
+        return self
+
+    def __exit__(self, *exc):
+        sdp._admm = self._admm
+
+
+def _summary(name: str, solves: list, extra: str = "") -> str:
+    iters = sum(n for n, _, _ in solves)
+    nonconverged = sum(1 for _, c, _ in solves if not c)
+    worst = max(g for _, _, g in solves)
+    worst_conv = max((g for _, c, g in solves if c), default=float("nan"))
+    return (
+        f"{name}: {len(solves)} solves, {iters} iterations, "
+        f"{nonconverged} not converged, worst relative gap {worst:.2e} "
+        f"(converged solves {worst_conv:.2e}){extra}"
+    )
+
+
+def mc_easy() -> str:
+    pool = json.loads(REFERENCE.read_text())["mc-easy"]
+    same = 0
+    with _Recorder() as rec, tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "rows.csv")
+        for member in pool:
+            argv = [
+                "experiment", "--mode", "synthetic", "--d", "20", "--s", "4",
+                "--gap", "8", "--sigma", "0", "--budget", "200",
+                "--buckets", "0:2", "--reps", "1",
+                "--seed", str(member["seed"]), "--out", out,
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"experiment failed for seed {member['seed']}")
+            with open(out, newline="") as fh:
+                same += fh.read() == member["csv"]
+    extra = f", CSV equal to reference {same}/{len(pool)}"
+    return _summary("mc-easy", rec.solves, extra)
+
+
+def acceptance_02() -> str:
+    rng = np.random.default_rng(1002)
+    with _Recorder() as rec:
+        for k in range(120):
+            d = int(rng.integers(2, 21))
+            a = rng.standard_normal((d, d))
+            m = SymMatrix(a + a.T)
+            rho = float(rng.choice([0.0, 0.05, 0.2, 0.5, 1.0]))
+            if k % 3 == 0:
+                g = random_graph(d, int(0.7 * d * d), int(rng.integers(1e9)))
+                m = SymMatrix(adjacency(g).a * m.a)
+            sdp.solve_sdp(m, rho)
+    return _summary("acceptance-02", rec.solves)
+
+
+def main() -> int:
+    print(acceptance_02(), flush=True)
+    print(mc_easy(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

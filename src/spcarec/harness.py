@@ -39,7 +39,7 @@ __all__ = [
 DEFAULT_MAX_TRIES = 100_000
 # harness solves use a slightly looser tolerance than the library default:
 # on d=20, s=4, gap 8, budget 200 repetitions with the 40-point CLI grid the
-# sweep takes 1.6-1.7x fewer ADMM iterations than at 1e-7, with the same
+# sweep takes 1.3-1.7x fewer ADMM iterations than at 1e-7, with the same
 # chosen support (40 repetitions, 5 seeds)
 _EXPERIMENT_TOL = 1e-6
 

@@ -46,9 +46,10 @@ DEFAULT_MAX_ITER = 20000
 SUPPORT_THRESHOLD = 1e-4
 # strictness margin for the certificate's strict inequalities
 _STRICT_MARGIN = 1e-10
-# convergence requires the residual test to hold this many consecutive
-# iterations, which guards against single-iteration flukes
-_CONVERGENCE_HOLD = 50
+# below 100 * tol the penalty is rebalanced at most once per this many
+# iterations: often enough that rn and sn cannot drift apart for good,
+# rarely enough that the iterates can settle between rescalings
+_REBALANCE_EVERY = 50
 
 
 @dataclass(eq=False)
@@ -70,6 +71,22 @@ class SdpSolution:
     z_dual: np.ndarray | None = field(default=None, repr=False)
     # internal warm-start state (y, u, beta)
     _state: tuple = field(default=None, repr=False)
+
+
+def _certificate(
+    m: np.ndarray, rho: float, x: np.ndarray, beta: float, u: np.ndarray
+) -> tuple[float, np.ndarray | None, float]:
+    """Objective of x, the dual variable Z and the certified gap.
+
+    Z = clip(beta u / rho, -1, 1) (None at rho == 0, where the dual matrix
+    is M itself).  Weak duality makes lambda_max(M - rho Z) an upper bound
+    on the optimum for any |Z|_max <= 1, so the gap lambda_max(M - rho Z)
+    minus the objective bounds the suboptimality of x.
+    """
+    objective = float((m * x).sum()) - rho * float(np.abs(x).sum())
+    z_dual = np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None
+    dual_m = m if z_dual is None else m - rho * z_dual
+    return objective, z_dual, float(np.linalg.eigvalsh(dual_m)[-1]) - objective
 
 
 def _admm(
@@ -97,7 +114,7 @@ def _admm(
     t = rho / beta
     rn = sn = math.inf
     converged = False
-    hold = 0
+    rebalanced_at = 0
     for iterations in range(1, max_iter + 1):
         x = _project_spectrahedron_arr(y - u + m_beta)
         y_old = y
@@ -110,35 +127,31 @@ def _admm(
         dy = (y - y_old).ravel()
         rn = sqrt(dxy.dot(dxy)) / max(1.0, sqrt(xv.dot(xv)), sqrt(yv.dot(yv)))
         sn = beta * sqrt(dy.dot(dy)) / max(1.0, beta * sqrt(uv.dot(uv)))
+        # the gap's eigvalsh runs only once the residual test holds
         if max(rn, sn) <= tol:
-            hold += 1
-            if hold >= _CONVERGENCE_HOLD:
+            objective, z_dual, gap = _certificate(m, rho, x, beta, u)
+            if gap <= tol * max(1.0, abs(objective)):
                 converged = True
                 break
+        # residual balancing: every iteration while far from convergence,
+        # then at most once per _REBALANCE_EVERY iterations
+        if max(rn, sn) < 100.0 * tol and iterations - rebalanced_at < _REBALANCE_EVERY:
+            continue
+        if rn > 10.0 * sn and beta < 1e6:
+            beta *= 2.0
+            u /= 2.0
+        elif sn > 10.0 * rn and beta > 1e-6:
+            beta /= 2.0
+            u *= 2.0
         else:
-            hold = 0
-        # rebalance the penalty only while far from convergence
-        if max(rn, sn) >= 100.0 * tol:
-            if rn > 10.0 * sn and beta < 1e6:
-                beta *= 2.0
-                u /= 2.0
-                m_beta = m / beta
-                t = rho / beta
-            elif sn > 10.0 * rn and beta > 1e-6:
-                beta /= 2.0
-                u *= 2.0
-                m_beta = m / beta
-                t = rho / beta
+            continue
+        m_beta = m / beta
+        t = rho / beta
+        rebalanced_at = iterations
 
+    if not converged:
+        objective, z_dual, gap = _certificate(m, rho, x, beta, u)
     x_hat = SymMatrix(x)
-    objective = float((m * x_hat.a).sum()) - rho * float(np.abs(x_hat.a).sum())
-    z_dual = None
-    if rho > 0:
-        z_dual = np.clip(beta * u / rho, -1.0, 1.0)
-    # weak duality: lambda_max(M - rho Z) bounds the optimum for any
-    # |Z|_max <= 1, so this is a certified bound on suboptimality
-    dual_m = m if z_dual is None else m - rho * z_dual
-    gap = float(np.linalg.eigvalsh(dual_m)[-1]) - objective
     return SdpSolution(
         x_hat=x_hat,
         objective=objective,
@@ -171,13 +184,19 @@ def solve_sdp(
 ) -> SdpSolution:
     """Solve the l1-penalized spectrahedron problem.
 
-    Residuals are Frobenius norms normalized by the iterate scale;
-    convergence means max(primal, dual) <= tol.  A run that hits max_iter
-    is returned with converged=False rather than raising.
+    Residuals are Frobenius norms normalized by the iterate scale.  A solve
+    converges on the first iteration where max(primal, dual) <= tol and
+    the certified duality gap lambda_max(M - rho Z) - objective, with Z the
+    clipped scaled dual variable, is <= tol * max(1, |objective|); `gap`
+    is then the value that passed.  A run that hits max_iter is returned
+    with converged=False rather than raising.  `warm_start` must be a
+    solution of a problem of the same dimension.
     """
     m = SymMatrix(m)
     _check_solver_args(rho, tol, max_iter)
     state = warm_start._state if warm_start is not None else None
+    if state is not None and state[0].shape != (m.dim, m.dim):
+        raise ValueError("warm_start comes from a problem of another dimension")
     return _admm(m.a, float(rho), tol, max_iter, state)
 
 
@@ -248,6 +267,8 @@ def kkt_report(
     x = x_hat.a
     if z_hat is not None:
         z = np.clip(np.asarray(z_hat, dtype=float), -1.0, 1.0)
+        if z.shape != (m.dim, m.dim):
+            raise ValueError(f"z_hat must have shape {(m.dim, m.dim)}, got {z.shape}")
     elif rho > 0:
         cutoff = 1e-8 * max(1.0, float(np.abs(x).max(initial=0.0)))
         z = np.where(np.abs(x) > cutoff, np.sign(x), np.clip(m.a / rho, -1.0, 1.0))

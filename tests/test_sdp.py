@@ -46,6 +46,14 @@ def _frob(a):
     return float(np.linalg.norm(a))
 
 
+def _reference_certificate(m, rho, x, beta, u):
+    x_hat = 0.5 * (x + x.T)
+    objective = float((m * x_hat).sum()) - rho * float(np.abs(x_hat).sum())
+    z = np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None
+    dual_m = m if z is None else m - rho * z
+    return objective, z, float(np.linalg.eigvalsh(dual_m)[-1]) - objective
+
+
 def _reference_admm(m, rho, tol, max_iter, state=None):
     d = m.shape[0]
     if state is None:
@@ -58,7 +66,7 @@ def _reference_admm(m, rho, tol, max_iter, state=None):
     rn = sn = math.inf
     converged = False
     iterations = 0
-    hold = 0
+    last_rebalance = 0
     for iterations in range(1, max_iter + 1):
         x = _reference_project_spectrahedron(y - u + m / beta)
         y_old = y
@@ -69,29 +77,34 @@ def _reference_admm(m, rho, tol, max_iter, state=None):
         s = beta * _frob(y - y_old)
         rn = r / max(1.0, _frob(x), _frob(y))
         sn = s / max(1.0, beta * _frob(u))
+        # stop on small residuals plus a certified gap within tolerance
         if max(rn, sn) <= tol:
-            hold += 1
-            if hold >= 50:
+            objective, z, gap = _reference_certificate(m, rho, x, beta, u)
+            if gap <= tol * max(1.0, abs(objective)):
                 converged = True
                 break
-        else:
-            hold = 0
-        if max(rn, sn) >= 100.0 * tol:
+        # rebalance every iteration far from convergence, then at most once
+        # per 50 iterations
+        if max(rn, sn) >= 100.0 * tol or iterations - last_rebalance >= 50:
             if rn > 10.0 * sn and beta < 1e6:
                 beta *= 2.0
                 u /= 2.0
+                last_rebalance = iterations
             elif sn > 10.0 * rn and beta > 1e-6:
                 beta /= 2.0
                 u *= 2.0
-    x_hat = 0.5 * (x + x.T)
+                last_rebalance = iterations
+    if not converged:
+        objective, z, gap = _reference_certificate(m, rho, x, beta, u)
     return {
-        "x_hat": x_hat,
-        "objective": float((m * x_hat).sum()) - rho * float(np.abs(x_hat).sum()),
+        "x_hat": 0.5 * (x + x.T),
+        "objective": objective,
         "iterations": iterations,
         "primal_residual": rn,
         "dual_residual": sn,
+        "gap": gap,
         "converged": converged,
-        "z_dual": np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None,
+        "z_dual": z,
         "state": (y, u, beta),
     }
 
@@ -188,10 +201,34 @@ class TestSolveSdp:
             assert kkt.stationarity_residual <= 1e-5
 
     def test_not_converged_flag(self):
-        sol = solve_sdp(SymMatrix(np.diag([3.0, 1.0])), 0.3, max_iter=3)
+        # three iterations are far from optimal on this input, so the
+        # certificate is not met and the flag must say so
+        m = _random_sym(np.random.default_rng(32), 6)
+        sol = solve_sdp(m, 0.3, max_iter=3)
         assert not sol.converged
         assert sol.iterations == 3
         _assert_weak_duality(sol)
+        assert sol.gap > DEFAULT_TOL * max(1.0, abs(sol.objective))
+
+    @pytest.mark.parametrize(
+        "seed, d, rho0, rho1", [([2, 5], 2, 0.05, 0.10), ([20, 0], 20, 0.0, 0.05)]
+    )
+    def test_warm_started_solve_converges(self, seed, d, rho0, rho1):
+        # warm-started solves where residual balancing once froze with
+        # rn >> sn, so the run crept to max_iter
+        m = _planted(np.random.default_rng(seed), d)
+        prev = solve_sdp(m, rho0)
+        sol = solve_sdp(m, rho1, warm_start=prev)
+        assert sol.converged
+        _assert_weak_duality(sol)
+        assert sol.gap <= DEFAULT_TOL * max(1.0, abs(sol.objective))
+        kkt = kkt_report(m, rho1, sol.x_hat, sol.z_dual)
+        assert kkt.stationarity_residual <= 1e-5
+
+    def test_warm_start_dimension_checked(self):
+        prev = solve_sdp(SymMatrix(np.eye(1)), 0.1)
+        with pytest.raises(ValueError, match="warm_start"):
+            solve_sdp(SymMatrix(np.eye(5)), 0.1, warm_start=prev)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -237,6 +274,7 @@ class TestBitIdentity:
             assert sol.primal_residual == ref["primal_residual"]
             assert sol.dual_residual == ref["dual_residual"]
             assert sol.objective == ref["objective"]
+            assert sol.gap == ref["gap"]
             assert sol.converged == ref["converged"]
             assert sol.support == support_of(SymMatrix(ref["x_hat"]))
             if ref["z_dual"] is None:
@@ -291,6 +329,36 @@ class TestProjectionProperties:
         assert np.all(w >= 0.0)
         scale = max(1.0, float(np.abs(v).max()))
         assert abs(w.sum() - 1.0) <= 4 * v.size**2 * np.finfo(float).eps * scale
+
+
+_rhos = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+class TestCertifiedConvergence:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        rho0=_rhos,
+        rho1=_rhos,
+        tol=st.sampled_from([1e-2, 1e-4, DEFAULT_TOL]),
+    )
+    def test_converged_implies_certified_gap(self, d, seed, rho0, rho1, tol):
+        m = _random_sym(np.random.default_rng(seed), d)
+        prev = None
+        # a cold solve, then one warm-started from it
+        for rho in (rho0, rho1):
+            sol = solve_sdp(m, rho, tol=tol, warm_start=prev)
+            prev = sol
+            _assert_weak_duality(sol)
+            if not sol.converged:
+                continue
+            x = sol.x_hat.a
+            objective = float((m.a * x).sum()) - rho * float(np.abs(x).sum())
+            dual_m = m.a if rho == 0 else m.a - rho * sol.z_dual
+            gap = float(np.linalg.eigvalsh(dual_m)[-1]) - objective
+            assert gap == sol.gap
+            assert sol.gap <= tol * max(1.0, abs(sol.objective))
 
 
 class TestSolveRestricted:
@@ -414,6 +482,15 @@ class TestKktReport:
         x = rng.standard_normal((4, 4))
         rep = kkt_report(SymMatrix(np.eye(4)), 0.1, SymMatrix(x + x.T))
         assert rep.trace_violation > 1e-3 or rep.min_eigenvalue < -1e-3
+
+    @pytest.mark.parametrize(
+        "take", [lambda z: z[0], lambda z: z[0, 0]], ids=["row", "scalar"]
+    )
+    def test_z_hat_shape_checked(self, take):
+        m = _random_sym(np.random.default_rng(33), 4)
+        sol = solve_sdp(m, 0.3)
+        with pytest.raises(ValueError, match="z_hat"):
+            kkt_report(m, 0.3, sol.x_hat, take(sol.z_dual))
 
     def test_heuristic_subgradient_matches_solver_dual(self):
         rng = np.random.default_rng(28)
