@@ -14,7 +14,8 @@ alone.  The batteries are:
   (``spcarec experiment`` at d=20, s=4, gap 8, sigma 0, budget 200,
   bucket 0:2, one repetition each), with the experiment seeds read from
   ``perfbench/reference.json``.  It also counts how many CSVs equal the
-  recorded reference bytes.
+  recorded reference bytes, and how many of the rho > 0 grid points the
+  rank-one path witness certified without an ADMM solve.
 * ``acceptance-02``: the 120 cold solves of
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
@@ -39,6 +40,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import spcarec.sdp as sdp  # noqa: E402
+import spcarec.spca as spca  # noqa: E402
 from spcarec import cli  # noqa: E402
 from spcarec.graph import adjacency, random_graph  # noqa: E402
 from spcarec.numerics import SymMatrix  # noqa: E402
@@ -49,11 +51,15 @@ REFERENCE = ROOT / "perfbench" / "reference.json"
 
 class _Recorder:
     """Wraps ``sdp._admm``, through which every solver path runs, and keeps
-    (iterations, converged, relative gap) for each solve."""
+    (iterations, converged, relative gap) for each solve.  Also wraps
+    ``sdp._path_witness`` where ``tune_rho`` calls it and counts the
+    rho > 0 grid points it was tried on and certified."""
 
     def __init__(self):
         self.solves = []
+        self.tried = self.certified = 0
         self._admm = sdp._admm
+        self._witness = spca._path_witness
 
     def __enter__(self):
         def admm(*args, **kwargs):
@@ -62,11 +68,19 @@ class _Recorder:
             self.solves.append((sol.iterations, sol.converged, rel))
             return sol
 
+        def witness(*args, **kwargs):
+            sol = self._witness(*args, **kwargs)
+            self.tried += 1
+            self.certified += sol is not None
+            return sol
+
         sdp._admm = admm
+        spca._path_witness = witness
         return self
 
     def __exit__(self, *exc):
         sdp._admm = self._admm
+        spca._path_witness = self._witness
 
 
 def _summary(name: str, solves: list, extra: str = "") -> str:
@@ -98,7 +112,10 @@ def mc_easy() -> str:
                     raise SystemExit(f"experiment failed for seed {member['seed']}")
             with open(out, newline="") as fh:
                 same += fh.read() == member["csv"]
-    extra = f", CSV equal to reference {same}/{len(pool)}"
+    extra = (
+        f", CSV equal to reference {same}/{len(pool)}, "
+        f"witness certified {rec.certified}/{rec.tried} rho > 0 points"
+    )
     return _summary("mc-easy", rec.solves, extra)
 
 

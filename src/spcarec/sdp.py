@@ -339,6 +339,77 @@ def _checked_decomposition(
     return dec, idx, comp
 
 
+def _restricted_witness(
+    m: np.ndarray, rho: float, idx: np.ndarray, comp: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+    """The primal-dual witness on support `idx` with sign pattern z.
+
+    Returns the eigenvalues (descending) of b = M_JJ - rho z z^T, its top
+    eigenvector v oriented along z, whether sign(v) == z, and the
+    off-support dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
+    (M - rho Z)_{Jc,J} v = 0 for the cross block Z_{Jc,J} = w z^T.
+    """
+    b = m[np.ix_(idx, idx)] - rho * np.outer(z, z)
+    bvals, bvecs = _eigh_descending(b)
+    v = bvecs[:, 0]
+    if float(z @ v) < 0:
+        v = -v
+    sign_ok = bool(np.all(np.sign(v) == z))
+    w = (m[np.ix_(comp, idx)] @ v) / (rho * float(np.abs(v).sum()))
+    return bvals, v, sign_ok, w
+
+
+def _path_witness(
+    m: np.ndarray, rho: float, prev: SdpSolution, tol: float
+) -> SdpSolution | None:
+    """A certified rank-one solution at rho built on prev's support, or None.
+
+    Takes J = prev.support and the sign pattern z of the top eigenvector
+    of prev.x_hat on J x J, and forms the witness X = v v^T of
+    _restricted_witness.  The dual Z is z z^T on J x J, w z^T and its
+    transpose across, and clip(M / rho, -1, 1) on Jc x Jc, so |Z|_max <= 1
+    whenever |w|_max <= 1 and weak duality bounds the suboptimality of X
+    by lambda_max(M - rho Z) - objective.  X is returned only when that
+    gap is <= tol * max(1, |objective|); its warm-start state is the ADMM
+    fixed point (X, rho Z / beta, beta).  Requires rho > 0.
+    """
+    idx, comp = _support_arrays(m.shape[0], prev.support)
+    _, vecs = np.linalg.eigh(prev.x_hat.a[np.ix_(idx, idx)])
+    z = np.sign(vecs[:, -1])
+    if not np.all(z):
+        return None
+    _, v, sign_ok, w = _restricted_witness(m, rho, idx, comp, z)
+    if not sign_ok or float(np.abs(w).max(initial=0.0)) > 1.0:
+        return None
+
+    zw = np.outer(w, z)
+    z_full = np.clip(m / rho, -1.0, 1.0)
+    z_full[np.ix_(idx, idx)] = np.outer(z, z)
+    z_full[np.ix_(comp, idx)] = zw
+    z_full[np.ix_(idx, comp)] = zw.T
+    x = np.zeros_like(m)
+    x[np.ix_(idx, idx)] = np.outer(v, v)
+    objective = float((m * x).sum()) - rho * float(np.abs(x).sum())
+    gap = float(np.linalg.eigvalsh(m - rho * z_full)[-1]) - objective
+    if gap > tol * max(1.0, abs(objective)):
+        return None
+
+    beta = prev._state[2]
+    x_hat = SymMatrix(x)
+    return SdpSolution(
+        x_hat=x_hat,
+        objective=objective,
+        iterations=0,
+        primal_residual=0.0,
+        dual_residual=0.0,
+        gap=gap,
+        support=support_of(x_hat),
+        converged=True,
+        z_dual=z_full,
+        _state=(x, rho * z_full / beta, beta),
+    )
+
+
 def witness_certificate(
     m_star: SymMatrix,
     g: ObservationGraph,
@@ -366,19 +437,12 @@ def witness_certificate(
     s = idx.size
 
     z = np.sign(u1[idx])
-    b = m.a[np.ix_(idx, idx)] - rho * np.outer(z, z)
-    bvals, bvecs = _eigh_descending(b)
-    x = bvecs[:, 0]
-    if float(z @ x) < 0:
-        x = -x
-
-    cond_sign = bool(np.all(np.sign(x) == z))
+    bvals, _, cond_sign, w = _restricted_witness(m.a, rho, idx, comp, z)
     lam1_restricted = float(bvals[0])
     eigengap = float(bvals[0] - bvals[1]) if s >= 2 else math.inf
     cond_gap = eigengap > _STRICT_MARGIN
 
     if comp.size:
-        w = (m.a[np.ix_(comp, idx)] @ x) / (rho * float(np.abs(x).sum()))
         offblock_max = float(np.abs(w).max())
         expected = g.mask * m_star.a
         zcc = (m.a[np.ix_(comp, comp)] - expected[np.ix_(comp, comp)]) / rho

@@ -10,8 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from spcarec.graph import ObservationGraph, random_graph
 from spcarec.numerics import SymMatrix, eigh, project_simplex, project_spectrahedron
+from spcarec.spca import tune_rho
 from spcarec.sdp import (
     DEFAULT_TOL,
+    _path_witness,
+    _restricted_witness,
     _support_arrays,
     kkt_report,
     solve_restricted,
@@ -558,6 +561,118 @@ class TestWitnessCertificate:
         rep = witness_certificate(m_star, g, m_star, 0.1, range(4))
         assert rep.offblock_max == 0.0
         assert rep.tailblock_max == 0.0
+
+
+class TestPathWitness:
+    """The rank-one witness that tune_rho tries before ADMM at each rho > 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        rho0=st.floats(0.0, 1.0),
+        step=st.floats(0.005, 0.1),
+        tol=st.sampled_from([1e-4, 1e-6, DEFAULT_TOL]),
+    )
+    def test_accepted_witness_is_certified(self, d, seed, planted, rho0, step, tol):
+        rng = np.random.default_rng(seed)
+        m = _planted(rng, d) if planted else _random_sym(rng, d)
+        rho = rho0 + step
+        sol = _path_witness(m.a, rho, solve_sdp(m, rho0), tol)
+        if sol is None:
+            return
+        x, z = sol.x_hat.a, sol.z_dual
+        assert np.linalg.eigvalsh(x)[0] >= -1e-12
+        assert abs(np.trace(x) - 1.0) <= 1e-12
+        assert np.array_equal(z, z.T) and np.abs(z).max() <= 1.0
+        # Z is a subgradient of the l1 norm at X
+        assert np.array_equal(z[x != 0], np.sign(x[x != 0]))
+        objective = float((m.a * x).sum()) - rho * float(np.abs(x).sum())
+        gap = float(np.linalg.eigvalsh(m.a - rho * z)[-1]) - objective
+        assert gap <= tol * max(1.0, abs(objective))
+        assert kkt_report(m, rho, sol.x_hat, z).stationarity_residual <= 1e-10
+        assert (sol.iterations, sol.converged) == (0, True)
+        assert sol.support == solve_sdp(m, rho).support
+
+    @pytest.mark.parametrize("d", [2, 13, 20, 50])
+    def test_state_is_an_admm_fixed_point(self, d):
+        m = _planted(np.random.default_rng([d, 9]), d)
+        sol = _path_witness(m.a, 0.25, solve_sdp(m, 0.2), DEFAULT_TOL)
+        assert sol is not None
+        nxt = solve_sdp(m, 0.25, warm_start=sol, max_iter=1)
+        assert nxt.converged
+        assert np.abs(nxt.x_hat.a - sol.x_hat.a).max() <= 1e-12
+
+    def test_hand_evaluated_diagonal(self):
+        # J = {0}: b = 2 - rho, w = 0, and the tail dual entry
+        # clip(1.8 / rho, -1, 1) = 1 leaves M - rho Z = diag(1.5, 1.3)
+        m = SymMatrix(np.diag([2.0, 1.8]))
+        prev = solve_sdp(m, 0.0)
+        assert prev.support == frozenset({0})
+        sol = _path_witness(m.a, 0.5, prev, DEFAULT_TOL)
+        assert sol is not None
+        assert sol.objective == 1.5 and abs(sol.gap) <= 1e-15
+        assert np.array_equal(sol.x_hat.a, np.diag([1.0, 0.0]))
+        assert np.array_equal(sol.z_dual, np.eye(2))
+        assert sol.support == frozenset({0})
+
+    def test_gap_above_tol_declines(self):
+        # sign and cross block pass on J = {0}, but coordinate 1 beats it by
+        # 1e-5, which only the full-size gap exposes
+        m = SymMatrix(np.diag([1.0, 1.0 + 1e-5]))
+        prev = solve_sdp(SymMatrix(np.diag([1.0, 0.0])), 0.0)
+        assert prev.support == frozenset({0})
+        assert _path_witness(m.a, 0.5, prev, DEFAULT_TOL) is None
+        sol = _path_witness(m.a, 0.5, prev, 1e-4)
+        assert sol is not None and sol.gap == pytest.approx(1e-5)
+
+    def test_sign_flip_declines(self):
+        # at rho = 0 the weak third coordinate is in the support with the
+        # block's sign; once rho > eps its entries of M_JJ - rho z z^T are
+        # negative and the top eigenvector flips that sign
+        eps = 0.05
+        m = SymMatrix([[1.0, 1.0, eps], [1.0, 1.0, eps], [eps, eps, 0.0]])
+        base = solve_sdp(m, 0.0)
+        assert base.support == frozenset({0, 1, 2})
+        z = np.ones(3)
+        _, _, sign_ok, _ = _restricted_witness(
+            m.a, 0.1, np.arange(3), np.arange(0), z
+        )
+        assert not sign_ok
+        assert _path_witness(m.a, 0.1, base, DEFAULT_TOL) is None
+        trace = tune_rho(m, (0.1,), 0.5)
+        assert trace.iterations[0] >= 1 and trace.converged[0]
+
+    def test_off_support_block_above_one_declines(self):
+        # the rho = 0 support is {0}: coordinate 1 carries a diagonal share
+        # of 2.5e-5, below SUPPORT_THRESHOLD; its dual entry w = delta / rho
+        delta, rho = 0.005, 0.001
+        m = SymMatrix([[1.0, delta], [delta, 0.0]])
+        base = solve_sdp(m, 0.0)
+        assert base.support == frozenset({0})
+        _, _, sign_ok, w = _restricted_witness(
+            m.a, rho, np.array([0]), np.array([1]), np.ones(1)
+        )
+        assert sign_ok and w[0] == pytest.approx(delta / rho)
+        assert _path_witness(m.a, rho, base, DEFAULT_TOL) is None
+        trace = tune_rho(m, (rho,), 0.5)
+        assert trace.iterations[0] >= 1 and trace.converged[0]
+
+    @pytest.mark.parametrize("rho", [0.01, 0.05, 0.1, 0.5])
+    def test_off_diagonal_pair_never_certifies_a_singleton(self, rho):
+        # M = [[0, 1], [1, 0]] has both coordinates in the optimal support
+        # for rho < 1, though neither diagonal entry exceeds rho
+        m = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
+        for keep in range(2):
+            diag = np.zeros(2)
+            diag[keep] = 1.0
+            prev = solve_sdp(SymMatrix(np.diag(diag)), 0.0)
+            assert prev.support == frozenset({keep})
+            assert _path_witness(m.a, rho, prev, DEFAULT_TOL) is None
+        trace = tune_rho(m, (rho,), 0.5)
+        assert trace.supports == (frozenset({0, 1}),)
+        assert trace.converged == (True,)
 
 
 class TestCertificateSoundness:

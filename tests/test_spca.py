@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spcarec import spca
 from spcarec.errors import DegenerateBaseline, Disconnected
 from spcarec.graph import (
     ObservationGraph,
@@ -15,7 +16,7 @@ from spcarec.graph import (
     random_graph,
 )
 from spcarec.numerics import SymMatrix, spectral_norm
-from spcarec.sdp import solve_sdp
+from spcarec.sdp import DEFAULT_TOL, _path_witness, kkt_report, solve_sdp
 from spcarec.spca import (
     criterion,
     recover_support,
@@ -123,7 +124,16 @@ class TestTuneRho:
         trace = tune_rho(inst.m, [round(0.1 * k, 6) for k in range(1, 11)], 0.5)
         assert trace.chosen_support == inst.support
 
-    def test_per_point_diagnostics_aligned_with_grid(self):
+    def test_per_point_diagnostics_aligned_with_grid(self, monkeypatch):
+        witnesses = {}
+
+        def record(m, rho, prev, tol):
+            sol = _path_witness(m, rho, prev, tol)
+            if sol is not None:
+                witnesses[rho] = sol
+            return sol
+
+        monkeypatch.setattr(spca, "_path_witness", record)
         rng = np.random.default_rng(41)
         a = rng.standard_normal((6, 6))
         m = SymMatrix(a + a.T + 4 * np.eye(6))
@@ -132,7 +142,16 @@ class TestTuneRho:
         for field in (trace.converged, trace.iterations, trace.gaps):
             assert len(field) == len(trace.grid)
         assert all(trace.converged)
-        assert all(k >= 1 for k in trace.iterations)
+        # a point without ADMM iterations took the rank-one witness: its gap
+        # is certified and its dual satisfies the KKT system
+        zero = [rho for rho, k in zip(trace.grid, trace.iterations) if k == 0]
+        assert zero and sorted(witnesses) == zero
+        for rho in zero:
+            sol = witnesses[rho]
+            assert trace.gaps[trace.grid.index(rho)] == sol.gap
+            assert sol.gap <= DEFAULT_TOL * max(1.0, abs(sol.objective))
+            kkt = kkt_report(m, rho, sol.x_hat, sol.z_dual)
+            assert kkt.stationarity_residual <= 1e-5
         for gap in trace.gaps:
             assert -1e-10 <= gap <= 1e-6
         # the rho = 0 point reports the baseline solve
