@@ -20,8 +20,9 @@ alone.  The batteries are:
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
 
-The reference file is only read.  BLAS is pinned to one thread, as in the
-benchmark, before numpy is imported.
+The reference file is only read.  The script exits 1 when any ``mc-easy``
+CSV differs from its reference bytes, and 0 otherwise.  BLAS is pinned to
+one thread, as in the benchmark, before numpy is imported.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def _summary(name: str, solves: list, extra: str = "") -> str:
     )
 
 
-def mc_easy() -> str:
+def mc_easy() -> tuple[str, bool]:
+    """The battery's summary line and whether every CSV equals the reference."""
     pool = json.loads(REFERENCE.read_text())["mc-easy"]
     same = 0
     with _Recorder() as rec, tempfile.TemporaryDirectory() as tmp:
@@ -116,7 +118,7 @@ def mc_easy() -> str:
         f", CSV equal to reference {same}/{len(pool)}, "
         f"witness certified {rec.certified}/{rec.tried} rho > 0 points"
     )
-    return _summary("mc-easy", rec.solves, extra)
+    return _summary("mc-easy", rec.solves, extra), same == len(pool)
 
 
 def acceptance_02() -> str:
@@ -136,8 +138,9 @@ def acceptance_02() -> str:
 
 def main() -> int:
     print(acceptance_02(), flush=True)
-    print(mc_easy(), flush=True)
-    return 0
+    line, csv_equal = mc_easy()
+    print(line, flush=True)
+    return 0 if csv_equal else 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ __all__ = [
 ]
 
 
+def _check_nonnegative_finite(value: float, what: str) -> None:
+    if not np.isfinite(value) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative finite real")
+
+
 def _validated_square(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -182,6 +187,5 @@ def _soft_threshold_arr(b: np.ndarray, t: float) -> np.ndarray:
 def soft_threshold(a: SymMatrix, t: float) -> SymMatrix:
     """Entrywise shrinkage sign(a_ij) * max(|a_ij| - t, 0); preserves symmetry."""
     a = SymMatrix(a)
-    if not np.isfinite(t) or t < 0:
-        raise ValueError("threshold must be a nonnegative finite real")
+    _check_nonnegative_finite(t, "threshold")
     return SymMatrix(_soft_threshold_arr(a.a, float(t)))

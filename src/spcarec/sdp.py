@@ -21,6 +21,7 @@ from .graph import ObservationGraph, _node_set
 from .numerics import (
     EigDecomp,
     SymMatrix,
+    _check_nonnegative_finite,
     _eigh_descending,
     _project_spectrahedron_arr,
     _soft_threshold_arr,
@@ -74,19 +75,19 @@ class SdpSolution:
 
 
 def _certificate(
-    m: np.ndarray, rho: float, x: np.ndarray, beta: float, u: np.ndarray
-) -> tuple[float, np.ndarray | None, float]:
-    """Objective of x, the dual variable Z and the certified gap.
+    m: np.ndarray, rho: float, x: np.ndarray, z: np.ndarray | None, tol: float
+) -> tuple[float, float, bool]:
+    """Objective of x, its certified gap, and whether gap <= tol max(1, |obj|).
 
-    Z = clip(beta u / rho, -1, 1) (None at rho == 0, where the dual matrix
-    is M itself).  Weak duality makes lambda_max(M - rho Z) an upper bound
-    on the optimum for any |Z|_max <= 1, so the gap lambda_max(M - rho Z)
-    minus the objective bounds the suboptimality of x.
+    Weak duality makes lambda_max(M - rho Z) an upper bound on the optimum
+    for any symmetric |Z|_max <= 1 (z is None at rho == 0, where the dual
+    matrix is M itself), so the gap lambda_max(M - rho Z) minus the
+    objective bounds the suboptimality of x.
     """
     objective = float((m * x).sum()) - rho * float(np.abs(x).sum())
-    z_dual = np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None
-    dual_m = m if z_dual is None else m - rho * z_dual
-    return objective, z_dual, float(np.linalg.eigvalsh(dual_m)[-1]) - objective
+    dual_m = m if z is None else m - rho * z
+    gap = float(np.linalg.eigvalsh(dual_m)[-1]) - objective
+    return objective, gap, gap <= tol * max(1.0, abs(objective))
 
 
 def _admm(
@@ -96,8 +97,8 @@ def _admm(
     max_iter: int,
     state: tuple | None = None,
 ) -> SdpSolution:
-    # the callers check max_iter >= 1, so the first projection assigns x
-    # (and the loop assigns iterations) before anything reads them
+    # the callers check max_iter >= 1, so the loop assigns x, iterations
+    # and, on its last iteration at the latest, the certificate
     d = m.shape[0]
     if state is None:
         y = np.eye(d) / d
@@ -113,7 +114,6 @@ def _admm(
     m_beta = m / beta
     t = rho / beta
     rn = sn = math.inf
-    converged = False
     rebalanced_at = 0
     for iterations in range(1, max_iter + 1):
         x = _project_spectrahedron_arr(y - u + m_beta)
@@ -127,11 +127,14 @@ def _admm(
         dy = (y - y_old).ravel()
         rn = sqrt(dxy.dot(dxy)) / max(1.0, sqrt(xv.dot(xv)), sqrt(yv.dot(yv)))
         sn = beta * sqrt(dy.dot(dy)) / max(1.0, beta * sqrt(uv.dot(uv)))
-        # the gap's eigvalsh runs only once the residual test holds
-        if max(rn, sn) <= tol:
-            objective, z_dual, gap = _certificate(m, rho, x, beta, u)
-            if gap <= tol * max(1.0, abs(objective)):
-                converged = True
+        # the gap's eigvalsh runs once the residual test holds and on the last
+        # iteration; a rebalance after that leaves beta u, hence z_dual, as is
+        residual_ok = max(rn, sn) <= tol
+        if residual_ok or iterations == max_iter:
+            z_dual = np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None
+            objective, gap, certified = _certificate(m, rho, x, z_dual, tol)
+            converged = residual_ok and certified
+            if converged:
                 break
         # residual balancing: every iteration while far from convergence,
         # then at most once per _REBALANCE_EVERY iterations
@@ -149,8 +152,6 @@ def _admm(
         t = rho / beta
         rebalanced_at = iterations
 
-    if not converged:
-        objective, z_dual, gap = _certificate(m, rho, x, beta, u)
     x_hat = SymMatrix(x)
     return SdpSolution(
         x_hat=x_hat,
@@ -167,8 +168,7 @@ def _admm(
 
 
 def _check_solver_args(rho: float, tol: float, max_iter: int) -> None:
-    if not np.isfinite(rho) or rho < 0:
-        raise ValueError("rho must be a nonnegative finite real")
+    _check_nonnegative_finite(rho, "rho")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -264,6 +264,7 @@ def kkt_report(
     m = SymMatrix(m)
     x_hat = SymMatrix(x_hat)
     rho = float(rho)
+    _check_nonnegative_finite(rho, "rho")
     x = x_hat.a
     if z_hat is not None:
         z = np.clip(np.asarray(z_hat, dtype=float), -1.0, 1.0)
@@ -340,14 +341,20 @@ def _checked_decomposition(
 
 
 def _restricted_witness(
-    m: np.ndarray, rho: float, idx: np.ndarray, comp: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+    m: np.ndarray,
+    rho: float,
+    idx: np.ndarray,
+    comp: np.ndarray,
+    z: np.ndarray,
+    tail: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]:
     """The primal-dual witness on support `idx` with sign pattern z.
 
     Returns the eigenvalues (descending) of b = M_JJ - rho z z^T, its top
-    eigenvector v oriented along z, whether sign(v) == z, and the
-    off-support dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
-    (M - rho Z)_{Jc,J} v = 0 for the cross block Z_{Jc,J} = w z^T.
+    eigenvector v oriented along z, whether sign(v) == z, the off-support
+    dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
+    (M - rho Z)_{Jc,J} v = 0, and the full dual Z: z z^T on J x J, w z^T
+    and its transpose across, and `tail` on Jc x Jc.
     """
     b = m[np.ix_(idx, idx)] - rho * np.outer(z, z)
     bvals, bvecs = _eigh_descending(b)
@@ -356,7 +363,13 @@ def _restricted_witness(
         v = -v
     sign_ok = bool(np.all(np.sign(v) == z))
     w = (m[np.ix_(comp, idx)] @ v) / (rho * float(np.abs(v).sum()))
-    return bvals, v, sign_ok, w
+    zw = np.outer(w, z)
+    z_full = np.empty_like(m)
+    z_full[np.ix_(idx, idx)] = np.outer(z, z)
+    z_full[np.ix_(comp, idx)] = zw
+    z_full[np.ix_(idx, comp)] = zw.T
+    z_full[np.ix_(comp, comp)] = tail
+    return bvals, v, sign_ok, w, z_full
 
 
 def _path_witness(
@@ -365,33 +378,26 @@ def _path_witness(
     """A certified rank-one solution at rho built on prev's support, or None.
 
     Takes J = prev.support and the sign pattern z of the top eigenvector
-    of prev.x_hat on J x J, and forms the witness X = v v^T of
-    _restricted_witness.  The dual Z is z z^T on J x J, w z^T and its
-    transpose across, and clip(M / rho, -1, 1) on Jc x Jc, so |Z|_max <= 1
-    whenever |w|_max <= 1 and weak duality bounds the suboptimality of X
-    by lambda_max(M - rho Z) - objective.  X is returned only when that
-    gap is <= tol * max(1, |objective|); its warm-start state is the ADMM
-    fixed point (X, rho Z / beta, beta).  Requires rho > 0.
+    of prev.x_hat on J x J, and forms the witness X = v v^T and the dual Z
+    of _restricted_witness with clip(M / rho, -1, 1) on Jc x Jc, so
+    |Z|_max <= 1 whenever |w|_max <= 1.  X is returned only when its gap
+    passes _certificate; its warm-start state is the ADMM fixed point
+    (X, rho Z / beta, beta).  Requires rho > 0.
     """
     idx, comp = _support_arrays(m.shape[0], prev.support)
     _, vecs = np.linalg.eigh(prev.x_hat.a[np.ix_(idx, idx)])
     z = np.sign(vecs[:, -1])
     if not np.all(z):
         return None
-    _, v, sign_ok, w = _restricted_witness(m, rho, idx, comp, z)
+    tail = np.clip(m[np.ix_(comp, comp)] / rho, -1.0, 1.0)
+    _, v, sign_ok, w, z_full = _restricted_witness(m, rho, idx, comp, z, tail)
     if not sign_ok or float(np.abs(w).max(initial=0.0)) > 1.0:
         return None
 
-    zw = np.outer(w, z)
-    z_full = np.clip(m / rho, -1.0, 1.0)
-    z_full[np.ix_(idx, idx)] = np.outer(z, z)
-    z_full[np.ix_(comp, idx)] = zw
-    z_full[np.ix_(idx, comp)] = zw.T
     x = np.zeros_like(m)
     x[np.ix_(idx, idx)] = np.outer(v, v)
-    objective = float((m * x).sum()) - rho * float(np.abs(x).sum())
-    gap = float(np.linalg.eigvalsh(m - rho * z_full)[-1]) - objective
-    if gap > tol * max(1.0, abs(objective)):
+    objective, gap, certified = _certificate(m, rho, x, z_full, tol)
+    if not certified:
         return None
 
     beta = prev._state[2]
@@ -420,8 +426,8 @@ def witness_certificate(
     """Construct the primal-dual witness for support J and test its conditions.
 
     This is an oracle-side diagnostic: the tail dual block needs the
-    expected observation A o M*, hence the ground truth.  Requires rho > 0
-    since the off-support dual block divides by rho * ||x||_1.
+    expected observation A o M*, hence the ground truth.  Requires a finite
+    rho > 0 since the off-support dual block divides by rho * ||x||_1.
     """
     m_star = SymMatrix(m_star)
     m = SymMatrix(m)
@@ -430,33 +436,25 @@ def witness_certificate(
     rho = float(rho)
     if not rho > 0:
         raise ValueError("rho must be positive for the witness construction")
+    _check_nonnegative_finite(rho, "rho")
 
-    d = m.dim
     dec, idx, comp = _checked_decomposition(m_star, support)
     u1 = dec.vectors[:, 0]
     s = idx.size
 
     z = np.sign(u1[idx])
-    bvals, _, cond_sign, w = _restricted_witness(m.a, rho, idx, comp, z)
+    cc = np.ix_(comp, comp)
+    tail = (m.a[cc] - g.mask[cc] * m_star.a[cc]) / rho
+    bvals, _, cond_sign, w, z_full = _restricted_witness(m.a, rho, idx, comp, z, tail)
     lam1_restricted = float(bvals[0])
     eigengap = float(bvals[0] - bvals[1]) if s >= 2 else math.inf
     cond_gap = eigengap > _STRICT_MARGIN
 
+    offblock_max = float(np.abs(w).max(initial=0.0))
+    tailblock_max = float(np.abs(tail).max(initial=0.0))
+    lam1_full = lam1_restricted
     if comp.size:
-        offblock_max = float(np.abs(w).max())
-        expected = g.mask * m_star.a
-        zcc = (m.a[np.ix_(comp, comp)] - expected[np.ix_(comp, comp)]) / rho
-        tailblock_max = float(np.abs(zcc).max(initial=0.0))
-        z_full = np.zeros((d, d))
-        z_full[np.ix_(idx, idx)] = np.outer(z, z)
-        z_full[np.ix_(comp, idx)] = np.outer(w, z)
-        z_full[np.ix_(idx, comp)] = np.outer(z, w)
-        z_full[np.ix_(comp, comp)] = zcc
         lam1_full = float(np.linalg.eigvalsh(m.a - rho * z_full)[-1])
-    else:
-        offblock_max = 0.0
-        tailblock_max = 0.0
-        lam1_full = lam1_restricted
 
     cond_offblock = offblock_max < 1.0 - _STRICT_MARGIN
     eig_equal = (lam1_full - lam1_restricted) <= 1e-9 * (1.0 + abs(lam1_restricted))

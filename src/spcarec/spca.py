@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateBaseline, Disconnected
 from .graph import ObservationGraph, _bipartite_max_degree, block_quantities
-from .numerics import SymMatrix, spectral_norm
+from .numerics import SymMatrix, _check_nonnegative_finite, spectral_norm
 from .sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -207,6 +207,7 @@ def theoretical_rho(
 
     2 sigma sqrt(max{Dmax(G_{J,Jc}), Dmax(G_{JcJc})} log d) + ||M*_{Jc,J}||_max.
     """
+    _check_nonnegative_finite(sigma, "sigma")
     m_star = SymMatrix(m_star)
     if g.n != m_star.dim:
         raise ValueError("graph and matrix dimension mismatch")
@@ -271,6 +272,7 @@ def rescaled_parameter(
 ) -> float:
     """Difficulty measure: recovery-condition left side over its constant-free
     right side.  Smaller values predict easier support recovery."""
+    _check_nonnegative_finite(sigma, "sigma")
     m_star = SymMatrix(m_star)
     return _rescaled(_condition_ingredients(m_star, g, support), sigma)
 
@@ -333,6 +335,8 @@ def sufficient_conditions_report(
     The spectral gap of the full matrix is used throughout (it lower-bounds
     the gap of the support block, so the evaluation is conservative).
     """
+    _check_nonnegative_finite(sigma, "sigma")
+    _check_nonnegative_finite(rho, "rho")
     m_star = SymMatrix(m_star)
     q = _condition_ingredients(m_star, g, support)
     s, d = q["s"], q["d"]

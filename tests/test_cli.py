@@ -132,6 +132,24 @@ class TestCertify:
         assert "unavailable" in captured or "rescaled=" in captured
 
 
+    @pytest.mark.parametrize("rho, sigma", [("0.5", "-1"), ("inf", "0")])
+    def test_bad_rho_or_sigma_exit_code(self, instance_files, capsys, rho, sigma):
+        out, truth, mask = instance_files
+        from spcarec.harness import gen_instance
+        from spcarec.graph import random_graph
+
+        inst = gen_instance(8, 2, 6.0, 0.0, random_graph(8, 56, 3), 3)
+        support = ",".join(str(i) for i in sorted(inst.support))
+        code = main(
+            [
+                "certify", "--truth", str(truth), "--in", str(out), "--mask",
+                str(mask), "--rho", rho, "--sigma", sigma, "--support", support,
+            ]
+        )
+        assert code == 2
+        assert "must be a nonnegative finite real" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_synthetic_writes_rows(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -264,9 +264,20 @@ class TestBitIdentity:
     @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
     @pytest.mark.parametrize("d", [1, 2, 13, 20, 50])
     def test_matches_reference(self, d, rho):
+        self._check(d, rho, 5000)
+
+    # caps that stop most of these solves short of convergence, so the
+    # certificate of a solve that ends at max_iter is pinned too
+    @pytest.mark.parametrize("max_iter", [3, 60])
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("d", [1, 2, 13, 20, 50])
+    def test_capped_matches_reference(self, d, rho, max_iter):
+        self._check(d, rho, max_iter)
+
+    @staticmethod
+    def _check(d, rho, max_iter):
         rng = np.random.default_rng([d, round(100 * rho)])
         m = _planted(rng, d)
-        max_iter = 5000
         prev = ref_state = None
         # a cold solve, then one warm-started from it at the next penalty
         for step_rho in (rho, rho + 0.05):
@@ -495,6 +506,12 @@ class TestKktReport:
         with pytest.raises(ValueError, match="z_hat"):
             kkt_report(m, 0.3, sol.x_hat, take(sol.z_dual))
 
+    @pytest.mark.parametrize("rho", [-0.5, math.inf, math.nan])
+    def test_bad_rho_rejected(self, rho):
+        m = SymMatrix(np.diag([3.0, 1.0]))
+        with pytest.raises(ValueError, match="rho must be a nonnegative finite"):
+            kkt_report(m, rho, SymMatrix(np.diag([1.0, 0.0])))
+
     def test_heuristic_subgradient_matches_solver_dual(self):
         rng = np.random.default_rng(28)
         m = _simple_top(rng, 6)
@@ -545,6 +562,11 @@ class TestWitnessCertificate:
         m_star = SymMatrix(np.diag([2.0, 0.5]))
         with pytest.raises(ValueError):
             witness_certificate(m_star, _complete_with_loops(2), m_star, 0.0, [0])
+
+    def test_infinite_rho_rejected(self):
+        m_star = SymMatrix(np.diag([2.0, 0.5]))
+        with pytest.raises(ValueError, match="rho must be a nonnegative finite"):
+            witness_certificate(m_star, _complete_with_loops(2), m_star, math.inf, [0])
 
     def test_wrong_support_rejected(self):
         m_star = SymMatrix(np.diag([2.0, 0.5]))
@@ -636,8 +658,8 @@ class TestPathWitness:
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0, 1, 2})
         z = np.ones(3)
-        _, _, sign_ok, _ = _restricted_witness(
-            m.a, 0.1, np.arange(3), np.arange(0), z
+        _, _, sign_ok, _, _ = _restricted_witness(
+            m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((0, 0))
         )
         assert not sign_ok
         assert _path_witness(m.a, 0.1, base, DEFAULT_TOL) is None
@@ -651,8 +673,8 @@ class TestPathWitness:
         m = SymMatrix([[1.0, delta], [delta, 0.0]])
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0})
-        _, _, sign_ok, w = _restricted_witness(
-            m.a, rho, np.array([0]), np.array([1]), np.ones(1)
+        _, _, sign_ok, w, _ = _restricted_witness(
+            m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((1, 1))
         )
         assert sign_ok and w[0] == pytest.approx(delta / rho)
         assert _path_witness(m.a, rho, base, DEFAULT_TOL) is None

@@ -203,6 +203,21 @@ class TestTheoreticalRho:
             theoretical_rho(m, _complete_with_loops(4), 0.1, range(4))
 
 
+@pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, g, sigma: theoretical_rho(m, g, sigma, [0, 1]),
+        lambda m, g, sigma: rescaled_parameter(m, g, sigma, [0, 1]),
+        lambda m, g, sigma: sufficient_conditions_report(m, g, sigma, 0.2, [0, 1]),
+    ],
+    ids=["theoretical_rho", "rescaled_parameter", "sufficient_conditions_report"],
+)
+def test_bad_sigma_rejected(call, sigma):
+    with pytest.raises(ValueError, match="sigma must be a nonnegative finite"):
+        call(_rank_one(4, [0, 1]), _complete_with_loops(4), sigma)
+
+
 class TestRescaledParameter:
     def test_rank_one_complete_noiseless(self):
         m = _rank_one(7, [0, 3, 5])
@@ -346,6 +361,13 @@ class TestSufficientConditionsReport:
         inst = gen_instance(10, 3, 5.0, 0.0, g, seed + 100)
         rep = sufficient_conditions_report(inst.m_star, g, sigma, 0.2, inst.support)
         assert rep.rescaled == rescaled_parameter(inst.m_star, g, sigma, inst.support)
+
+    @pytest.mark.parametrize("rho", [-1.0, math.inf, math.nan])
+    def test_bad_rho_rejected(self, rho):
+        # a negative rho would lower the sign-agreement left side
+        m = _rank_one(4, [0, 1])
+        with pytest.raises(ValueError, match="rho must be a nonnegative finite"):
+            sufficient_conditions_report(m, _complete_with_loops(4), 0.0, rho, [0, 1])
 
     def test_xi_matches_definition(self):
         from spcarec.harness import gen_instance
