@@ -12,7 +12,6 @@ Submodules:
 """
 
 from .baselines import (
-    BaselineMethod,
     BaselineResult,
     complete_nuclear,
     dtspca,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .numerics import SymMatrix, _soft_threshold_arr
 from .sdp import SdpSolution, solve_sdp, support_of
 
 __all__ = [
-    "BaselineMethod",
     "BaselineResult",
     "dtspca",
     "itspca",
@@ -29,15 +27,8 @@ __all__ = [
 ]
 
 
-class BaselineMethod(str, Enum):
-    DTSPCA = "dtspca"
-    ITSPCA = "itspca"
-    MC_SDP = "mc_sdp"
-
-
 @dataclass(frozen=True)
 class BaselineResult:
-    method: BaselineMethod
     support: frozenset
     diagnostics: dict
 
@@ -53,7 +44,6 @@ def dtspca(m: SymMatrix, k: int) -> BaselineResult:
     order = np.lexsort((np.arange(m.dim), -diag))
     support = frozenset(int(i) for i in order[:k])
     return BaselineResult(
-        method=BaselineMethod.DTSPCA,
         support=support,
         diagnostics={"k": k, "kth_value": float(diag[order[k - 1]])},
     )
@@ -101,7 +91,6 @@ def itspca(
             break
     support = frozenset(int(i) for i in np.nonzero(v)[0])
     return BaselineResult(
-        method=BaselineMethod.ITSPCA,
         support=support,
         diagnostics={"threshold": threshold, "iterations": it, "delta": float(delta)},
     )
@@ -196,7 +185,6 @@ def mc_then_sdp(
     y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
     sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
     return BaselineResult(
-        method=BaselineMethod.MC_SDP,
         support=support_of(sol.x_hat),
         diagnostics={
             "completion_iterations": info["iterations"],

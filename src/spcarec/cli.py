@@ -27,7 +27,7 @@ from .harness import (
     write_matrix_csv,
 )
 from .numerics import SymMatrix
-from .sdp import kkt_report, solve_sdp, witness_certificate
+from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, kkt_report, solve_sdp, witness_certificate
 from .spca import sufficient_conditions_report, tune_rho
 
 _EXIT_OK = 0
@@ -114,44 +114,45 @@ def _cmd_certify(args) -> int:
     m_star, _ = load_matrix_csv(args.truth)
     m, graph = load_matrix_csv(args.infile, args.mask)
     support = _parse_support(args.support)
+    # everything is computed before anything is printed, so a rejected
+    # argument leaves stdout empty rather than holding half a report
     witness = witness_certificate(m_star, graph, m, args.rho, support)
-    print(
+    lines = [
         f"witness: sign={witness.cond_sign}  offblock={witness.cond_offblock} "
         f"(max {witness.offblock_max:.6g})  eig={witness.cond_eig} "
         f"(lambda1 {witness.lambda1_restricted:.6g} vs {witness.lambda1_full:.6g}, "
         f"tail max {witness.tailblock_max:.6g})  gap={witness.cond_gap} "
-        f"({witness.eigengap:.6g})"
-    )
-    print(f"certified: {witness.certified}")
+        f"({witness.eigengap:.6g})",
+        f"certified: {witness.certified}",
+    ]
     try:
         report = sufficient_conditions_report(
             m_star, graph, args.sigma, args.rho, support
         )
     except (Disconnected, IrregularityUndefined) as exc:
         # the recovery conditions cannot hold on such a graph; that is the answer
-        print(f"conditions: unavailable ({exc})")
-        return _EXIT_OK
-    print(
-        f"conditions: xi={report.xi:.6g}  rescaled={report.rescaled:.6g}  "
-        f"gap={report.spectral_gap:.6g}  min|u1|={report.min_abs_u1:.6g}"
-    )
-    for rec in report.ineq:
-        op = "<" if rec.strict else "<="
-        print(
-            f"  {rec.name}: {rec.lhs:.6g} {op} {rec.rhs:.6g} -> "
-            f"{'holds' if rec.holds else 'fails'}"
+        lines.append(f"conditions: unavailable ({exc})")
+    else:
+        lines.append(
+            f"conditions: xi={report.xi:.6g}  rescaled={report.rescaled:.6g}  "
+            f"gap={report.spectral_gap:.6g}  min|u1|={report.min_abs_u1:.6g}"
         )
+        for rec in report.ineq:
+            op = "<" if rec.strict else "<="
+            lines.append(
+                f"  {rec.name}: {rec.lhs:.6g} {op} {rec.rhs:.6g} -> "
+                f"{'holds' if rec.holds else 'fails'}"
+            )
+    print("\n".join(lines))
     return _EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     buckets = _parse_buckets(args.buckets)
     grid = _grid(args.grid_start, args.grid_stop, args.grid_step)
-    # mode-specific conventions when the flags are left unset
-    sigma = args.sigma if args.sigma is not None else (
-        0.0 if args.mode == "synthetic" else 0.1
-    )
-    a = args.a if args.a is not None else (0.5 if args.mode == "synthetic" else 0.4)
+    # unset --a and pitprops --sigma fall through to the library's defaults
+    given = {"a": args.a, "sigma": args.sigma}
+    given = {k: v for k, v in given.items() if v is not None}
     if args.mode == "synthetic":
         if args.method != "sdp":
             raise MatrixParseError(
@@ -159,15 +160,15 @@ def _cmd_experiment(args) -> int:
                 "synthetic mode runs sdp"
             )
         rows = run_bucket_experiment(
-            args.d, args.s, args.gap, sigma, args.budget, buckets,
-            args.reps, grid, a, args.seed,
+            args.d, args.s, args.gap, given.pop("sigma", 0.0), args.budget,
+            buckets, args.reps, grid, rng_seed=args.seed, **given,
         )
     else:
         if not args.matrix:
             raise MatrixParseError("--matrix is required for pitprops mode")
         rows = pitprops_experiment(
-            args.matrix, args.budget, buckets, sigma=sigma, reps=args.reps,
-            rho_grid=grid, a=a, rng_seed=args.seed, method=args.method,
+            args.matrix, args.budget, buckets, reps=args.reps, rho_grid=grid,
+            rng_seed=args.seed, method=args.method, **given,
         )
     emit_csv(rows, args.out)
     for r in rows:
@@ -244,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--mask", default=None)
     s.add_argument("--rho", type=float, required=True)
-    s.add_argument("--tol", type=float, default=1e-7)
-    s.add_argument("--max-iter", type=int, default=20000)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     s.add_argument("--strict", action="store_true")
     s.set_defaults(func=_cmd_solve)
 

@@ -201,6 +201,15 @@ def _node_set(n: int, nodes, what: str) -> list[int]:
     return nodes
 
 
+def _support_arrays(n: int, nodes, what="support") -> tuple[np.ndarray, np.ndarray]:
+    """`nodes` checked by _node_set as an int array, and its complement in 0..n-1."""
+    idx = np.asarray(_node_set(n, nodes, what), dtype=int)
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    comp = np.flatnonzero(keep)
+    return idx, comp
+
+
 def induced_subgraph(g: ObservationGraph, nodes) -> ObservationGraph:
     """Subgraph on `nodes`, relabeled 0..k-1 preserving the sorted order."""
     nodes = _node_set(g.n, nodes, "node set")
@@ -209,14 +218,11 @@ def induced_subgraph(g: ObservationGraph, nodes) -> ObservationGraph:
 
 def bipartite_block(g: ObservationGraph, left) -> BipartiteSubgraph:
     """Edges of g with exactly one endpoint in `left` (the block G_{J,J^c})."""
-    left = _node_set(g.n, left, "left set")
-    if len(left) == g.n:
+    left, right = _support_arrays(g.n, left, "left set")
+    if right.size == 0:
         raise ValueError("left set must be a proper subset of the nodes")
-    in_left = np.zeros(g.n, dtype=bool)
-    in_left[left] = True
-    right = np.flatnonzero(~in_left)
     return BipartiteSubgraph(
-        left=tuple(left),
+        left=tuple(left.tolist()),
         right=tuple(right.tolist()),
         pattern=g.mask[np.ix_(left, right)],
     )

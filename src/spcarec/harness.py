@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import complete_nuclear, dtspca, itspca
 from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
 from .graph import ObservationGraph, _node_set, graph_from_mask, random_graph_bucketed
-from .numerics import SymMatrix
+from .numerics import SymMatrix, _check_nonnegative_finite
 from .spca import DEFAULT_RHO_GRID, rescaled_parameter, tune_rho
 
 __all__ = [
@@ -91,7 +91,11 @@ class ExperimentRow:
     reps: int
     exact_recovery_rate: float
     mean_rescaled: float
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        """True when the bucket exhausted its rejection budget (NaN rate)."""
+        return math.isnan(self.exact_recovery_rate)
 
 
 def _child_seed(*parts: int) -> int:
@@ -122,8 +126,7 @@ def gen_instance(
         raise ValueError("spectral gap must be positive")
     if graph.n != d:
         raise ValueError("graph node count must equal d")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_nonnegative_finite(sigma, "sigma")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     if support is None:
         idx = np.sort(rng.choice(d, size=s, replace=False))
@@ -187,7 +190,6 @@ class _Spec:
     score: Callable[[ProblemInstance, _Spec], tuple[bool, ...]]
     rho_grid: tuple
     a: float
-    baseline_params: tuple = ()
     m_star: SymMatrix | None = None
     support: tuple[int, ...] | None = None
 
@@ -205,13 +207,13 @@ def _mc_sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
 
 def _dtspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
     return tuple(
-        dtspca(inst.m, k).support == inst.support for k in spec.baseline_params
+        dtspca(inst.m, k).support == inst.support for k in range(1, spec.d + 1)
     )
 
 
 def _itspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
     out = []
-    for t in spec.baseline_params:
+    for t in _ITSPCA_DEFAULT_THRESHOLDS:
         try:
             out.append(itspca(inst.m, t).support == inst.support)
         except ThresholdTooLarge:
@@ -224,10 +226,6 @@ _METHODS = {
     "mc_sdp": _mc_sdp_recoveries,
     "dtspca": _dtspca_recoveries,
     "itspca": _itspca_recoveries,
-}
-_DEFAULT_BASELINE_PARAMS = {
-    "dtspca": tuple(range(1, 14)),
-    "itspca": _ITSPCA_DEFAULT_THRESHOLDS,
 }
 
 
@@ -285,7 +283,6 @@ def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
                 reps=reps,
                 exact_recovery_rate=rate,
                 mean_rescaled=mean_rescaled,
-                skipped=math.isnan(rate),
             )
         )
     return rows
@@ -333,7 +330,6 @@ def pitprops_experiment(
     rng_seed: int = 0,
     method: str = "sdp",
     max_tries: int = DEFAULT_MAX_TRIES,
-    baseline_params=None,
 ) -> list[ExperimentRow]:
     """Recovery-rate experiment on the 13-variable pitprops covariance matrix.
 
@@ -364,12 +360,10 @@ def pitprops_experiment(
         )
     if rho_grid is None:
         rho_grid = tuple(round(0.05 * k, 6) for k in range(1, 21))
-    if baseline_params is None:
-        baseline_params = _DEFAULT_BASELINE_PARAMS.get(method, ())
     spec = _Spec(
         d=13, s=len(support), gap=_spectral_gap(m_star), sigma=sigma,
         budget=budget, reps=reps, rng_seed=rng_seed, max_tries=max_tries,
-        score=score, rho_grid=rho_grid, a=a, baseline_params=baseline_params,
+        score=score, rho_grid=rho_grid, a=a,
         m_star=m_star, support=tuple(sorted(support)),
     )
     return _run_buckets(spec, buckets)
@@ -401,23 +395,13 @@ def _read_rows(path) -> tuple[list[list[str]], list[str] | None]:
         raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not raw:
         raise MatrixParseError("file is empty")
-    names = None
-    first = raw[0]
-
-    def numeric_or_na(tok: str) -> bool:
-        tok = tok.strip()
-        if tok == "NA":
-            return True
-        try:
-            float(tok)
-            return True
-        except ValueError:
-            return False
-
-    if not all(numeric_or_na(tok) for tok in first):
-        names = [tok.strip() for tok in first]
-        raw = raw[1:]
-    return raw, names
+    # the first row is a header unless every cell parses as a number or NA
+    try:
+        for j, tok in enumerate(raw[0]):
+            _parse_cell(tok, 0, j)
+    except MatrixParseError:
+        return raw[1:], [tok.strip() for tok in raw[0]]
+    return raw, None
 
 
 def _parse_grid(raw, d: int, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -437,6 +421,14 @@ def _parse_grid(raw, d: int, label: str) -> tuple[np.ndarray, np.ndarray]:
     return values, observed
 
 
+def _raise_at_first(bad: np.ndarray, message: Callable[[int, int], str]) -> None:
+    """Raise MatrixParseError(message(i, j)) at the first (row-major) True cell."""
+    hits = np.argwhere(bad)
+    if hits.size:
+        i, j = hits[0]
+        raise MatrixParseError(message(i, j))
+
+
 def _load_matrix(path, mask_path):
     raw, names = _read_rows(path)
     d = len(raw)
@@ -449,35 +441,29 @@ def _load_matrix(path, mask_path):
         if len(mraw) != d:
             raise MatrixParseError("mask dimension does not match matrix")
         mvals, mobs = _parse_grid(mraw, d, "mask row")
-        bad = np.argwhere(~(mobs & ((mvals == 0.0) | (mvals == 1.0))))
-        if bad.size:
-            i, j = bad[0]
-            raise MatrixParseError(
-                f"mask row {i}, column {j}: entries must be 0 or 1"
-            )
+        _raise_at_first(
+            ~(mobs & ((mvals == 0.0) | (mvals == 1.0))),
+            lambda i, j: f"mask row {i}, column {j}: entries must be 0 or 1",
+        )
         mask = mvals == 1.0
         # NA cells, if any, must sit outside the mask
-        bad = np.argwhere(mask & ~observed)
-        if bad.size:
-            i, j = bad[0]
-            raise MatrixParseError(
-                f"mask marks ({i}, {j}) observed but the matrix file has NA there"
-            )
+        _raise_at_first(
+            mask & ~observed,
+            lambda i, j: f"mask marks ({i}, {j}) observed "
+            "but the matrix file has NA there",
+        )
         observed = mask
 
-    bad = np.argwhere(observed != observed.T)
-    if bad.size:
-        i, j = bad[0]
-        raise MatrixParseError(
-            f"observation pattern is asymmetric at ({i}, {j})"
-        )
+    _raise_at_first(
+        observed != observed.T,
+        lambda i, j: f"observation pattern is asymmetric at ({i}, {j})",
+    )
     sym_err = np.abs(np.where(observed, values, 0.0) - np.where(observed, values, 0.0).T)
-    bad = np.argwhere(sym_err > 1e-9)
-    if bad.size:
-        i, j = bad[0]
-        raise MatrixParseError(
-            f"values are asymmetric at ({i}, {j}): |difference| = {sym_err[i, j]:.3g}"
-        )
+    _raise_at_first(
+        sym_err > 1e-9,
+        lambda i, j: f"values are asymmetric at ({i}, {j}): "
+        f"|difference| = {sym_err[i, j]:.3g}",
+    )
     m = SymMatrix(np.where(observed, values, 0.0))
     return m, graph_from_mask(observed), names
 
@@ -560,7 +546,6 @@ def parse_rows_csv(path) -> list[ExperimentRow]:
                     reps=int(reps),
                     exact_recovery_rate=float(rate),
                     mean_rescaled=float(mean_rescaled),
-                    skipped=math.isnan(float(rate)),
                 )
             )
     return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import ObservationGraph, _node_set
+from .graph import ObservationGraph, _support_arrays
 from .numerics import (
     EigDecomp,
     SymMatrix,
@@ -314,14 +314,6 @@ class WitnessReport:
     certified: bool
 
 
-def _support_arrays(d: int, support) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.asarray(_node_set(d, support, "support"), dtype=int)
-    keep = np.ones(d, dtype=bool)
-    keep[idx] = False
-    comp = np.flatnonzero(keep)
-    return idx, comp
-
-
 def _checked_decomposition(
     m_star: SymMatrix, support
 ) -> tuple[EigDecomp, np.ndarray, np.ndarray]:
@@ -331,9 +323,7 @@ def _checked_decomposition(
     u1 = dec.vectors[:, 0]
     idx, comp = _support_arrays(m_star.dim, support)
     tol = 1e-8 * float(np.abs(u1).max())
-    if np.any(np.abs(u1[idx]) <= tol) or (
-        comp.size and np.any(np.abs(u1[comp]) > tol)
-    ):
+    if np.any(np.abs(u1[idx]) <= tol) or np.any(np.abs(u1[comp]) > tol):
         raise ValueError(
             "support does not match the nonzero pattern of the leading eigenvector"
         )

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBaseline, Disconnected
-from .graph import ObservationGraph, _bipartite_max_degree, block_quantities
+from .graph import (
+    ObservationGraph,
+    _bipartite_max_degree,
+    _support_arrays,
+    block_quantities,
+)
 from .numerics import SymMatrix, _check_nonnegative_finite, spectral_norm
 from .sdp import (
     DEFAULT_MAX_ITER,
@@ -22,7 +27,6 @@ from .sdp import (
     SdpSolution,
     _checked_decomposition,
     _path_witness,
-    _support_arrays,
     solve_sdp,
 )
 
@@ -193,10 +197,8 @@ def _block_max_degrees(
     `idx` is a nonempty support and `comp` its complement in 0..g.n-1."""
     mask = g.mask
     d_jj = int(mask[np.ix_(idx, idx)].sum(axis=1).max())
-    if comp.size == 0:
-        return d_jj, 0, 0
     d_cross = _bipartite_max_degree(mask[np.ix_(idx, comp)])
-    d_cc = int(mask[np.ix_(comp, comp)].sum(axis=1).max())
+    d_cc = int(mask[np.ix_(comp, comp)].sum(axis=1).max(initial=0))
     return d_jj, d_cross, d_cc
 
 
@@ -233,8 +235,8 @@ def _condition_ingredients(m_star: SymMatrix, g: ObservationGraph, support):
         raise Disconnected("support block of the observation graph is disconnected")
     d_jj, d_cross, d_cc = _block_max_degrees(g, idx, comp)
     a_sub = m_star.a[np.ix_(idx, idx)]
-    a_cross = m_star.a[np.ix_(comp, idx)] if comp.size else np.zeros((0, idx.size))
-    a_cc = m_star.a[np.ix_(comp, comp)] if comp.size else np.zeros((0, 0))
+    a_cross = m_star.a[np.ix_(comp, idx)]
+    a_cc = m_star.a[np.ix_(comp, comp)]
     return {
         "idx": idx,
         "comp": comp,
@@ -248,8 +250,8 @@ def _condition_ingredients(m_star: SymMatrix, g: ObservationGraph, support):
         "deg_cross": d_cross,
         "deg_cc": d_cc,
         "norm_jj": spectral_norm(a_sub),
-        "norm_cross": spectral_norm(a_cross) if a_cross.size else 0.0,
-        "norm_cc": spectral_norm(a_cc) if a_cc.size else 0.0,
+        "norm_cross": spectral_norm(a_cross),
+        "norm_cc": spectral_norm(a_cc),
         "max_cross": float(np.abs(a_cross).max(initial=0.0)),
     }
 
@@ -281,8 +283,6 @@ def _xi_constant(m_star: SymMatrix, g: ObservationGraph, q) -> float:
     """Smallest nonnegative xi with ||A o B||_2 <= (1 + xi) ||B||_2 for both
     off-support blocks; blocks with exactly zero norm are skipped."""
     comp, idx = q["comp"], q["idx"]
-    if comp.size == 0:
-        return 0.0
     masked = g.mask * m_star.a
     xi = 0.0
     if q["norm_cross"] != 0.0:

@@ -5,8 +5,19 @@ import argparse
 import numpy as np
 import pytest
 
-from spcarec.cli import build_parser, main
-from spcarec.harness import _METHODS, load_matrix_csv, parse_rows_csv
+from spcarec.cli import _grid, build_parser, main
+from spcarec.graph import random_graph
+from spcarec.harness import (
+    _METHODS,
+    PITPROPS_SUPPORT_NAMES,
+    PITPROPS_VARIABLES,
+    gen_instance,
+    load_matrix_csv,
+    parse_rows_csv,
+    write_matrix_csv,
+)
+from spcarec.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
+from spcarec.spca import DEFAULT_RHO_GRID
 
 
 @pytest.fixture
@@ -33,6 +44,19 @@ class TestGen:
         m2, g2 = load_matrix_csv(truth, mask)
         assert g2 == g
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+    def test_bad_sigma_exit_code(self, tmp_path, capsys, sigma):
+        out = tmp_path / "m.csv"
+        code = main(
+            [
+                "gen", "--d", "8", "--s", "2", "--gap", "6", "--sigma", sigma,
+                "--budget", "56", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "sigma must be a nonnegative finite real" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_solve_prints_support(self, instance_files, capsys):
@@ -43,6 +67,11 @@ class TestSolve:
         assert "support:" in captured
         assert "converged: True" in captured
         assert "gap: " in captured
+
+    def test_defaults_are_the_solver_defaults(self):
+        args = build_parser().parse_args(["solve", "--in", "m.csv", "--rho", "0.1"])
+        assert args.tol == DEFAULT_TOL
+        assert args.max_iter == DEFAULT_MAX_ITER
 
     def test_strict_nonconverged_exit_code(self, instance_files):
         out, _, _ = instance_files
@@ -140,6 +169,7 @@ class TestCertify:
 
         inst = gen_instance(8, 2, 6.0, 0.0, random_graph(8, 56, 3), 3)
         support = ",".join(str(i) for i in sorted(inst.support))
+        capsys.readouterr()
         code = main(
             [
                 "certify", "--truth", str(truth), "--in", str(out), "--mask",
@@ -147,7 +177,10 @@ class TestCertify:
             ]
         )
         assert code == 2
-        assert "must be a nonnegative finite real" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "must be a nonnegative finite real" in captured.err
+        # the arguments are checked before any of the report is printed
+        assert captured.out == ""
 
 
 class TestExperiment:
@@ -198,6 +231,46 @@ class TestExperiment:
             assert main(argv + ["--method", method]) == 2
             assert "synthetic mode runs sdp" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_default_grid_is_the_library_grid(self):
+        args = build_parser().parse_args(
+            ["experiment", "--mode", "synthetic", "--buckets", "0:2", "--out", "r.csv"]
+        )
+        assert _grid(args.grid_start, args.grid_stop, args.grid_step) == DEFAULT_RHO_GRID
+
+    def test_unset_a_is_the_library_default(self, tmp_path):
+        # on this case a = 0.4, 0.5 and 0.6 give rates 1, 0.75 and 0.5
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "4", "--sigma", "0.3", "--budget", "100", "--buckets", "0:2",
+            "--reps", "4", "--seed", "1",
+            "--grid-start", "0.05", "--grid-stop", "1.0", "--grid-step", "0.05",
+        ]
+        out = {}
+        for a in (None, "0.4", "0.5"):
+            path = tmp_path / f"{a}.csv"
+            assert main(argv + (["--a", a] if a else []) + ["--out", str(path)]) == 0
+            out[a] = path.read_bytes()
+        assert out[None] == out["0.5"]
+        assert out[None] != out["0.4"]
+
+    def test_unset_pitprops_sigma_and_a_are_the_library_defaults(self, tmp_path):
+        support = [PITPROPS_VARIABLES.index(v) for v in PITPROPS_SUPPORT_NAMES]
+        full = random_graph(13, 169, 0)
+        inst = gen_instance(13, 6, 2.0, 0.0, full, 4, support=support)
+        matrix = tmp_path / "pitprops.csv"
+        write_matrix_csv(matrix, inst.m_star, names=PITPROPS_VARIABLES)
+        argv = [
+            "experiment", "--mode", "pitprops", "--matrix", str(matrix),
+            "--budget", "120", "--buckets", "0:5", "--reps", "2",
+            "--grid-start", "0.1", "--grid-stop", "0.3", "--grid-step", "0.2",
+        ]
+        assert main(argv + ["--out", str(tmp_path / "unset.csv")]) == 0
+        given = ["--sigma", "0.1", "--a", "0.4", "--out", str(tmp_path / "given.csv")]
+        assert main(argv + given) == 0
+        unset = (tmp_path / "unset.csv").read_bytes()
+        assert unset == (tmp_path / "given.csv").read_bytes()
+        assert unset.splitlines()[1].split(b",")[3] == b"0.1"
 
     def test_method_choices_are_the_method_table(self):
         sub = next(

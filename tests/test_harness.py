@@ -21,6 +21,7 @@ from spcarec.harness import (
     run_bucket_experiment,
     write_mask_csv,
     write_matrix_csv,
+    _read_rows,
     _rep_task,
     _sdp_recoveries,
     _Spec,
@@ -81,6 +82,15 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             gen_instance(6, 2, 1.0, 0.0, g, 0)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        # NaN used to fail the `sigma > 0` noise test and return the
+        # noiseless instance with sigma=nan recorded
+        g = random_graph(5, 10, 0)
+        message = "^sigma must be a nonnegative finite real$"
+        with pytest.raises(ValueError, match=message):
+            gen_instance(5, 2, 1.0, sigma, g, 0)
+
 
 class TestRunBucketExperiment:
     def test_single_rep_reproducible(self):
@@ -93,6 +103,13 @@ class TestRunBucketExperiment:
         assert rows1 == rows2
         assert rows1[0].exact_recovery_rate in (0.0, 1.0)
         assert not rows1[0].skipped
+
+    def test_skipped_follows_rate(self):
+        row = ExperimentRow(0.0, 1.0, 5.0, 0.0, 2, math.nan, math.nan)
+        assert row.skipped
+        assert not ExperimentRow(0.0, 1.0, 5.0, 0.0, 2, 0.5, 1.0).skipped
+        with pytest.raises(TypeError):
+            ExperimentRow(0.0, 1.0, 5.0, 0.0, 2, 0.5, 1.0, skipped=True)
 
     def test_impossible_bucket_marks_skipped(self):
         rows = run_bucket_experiment(
@@ -181,12 +198,17 @@ class TestLoadMatrixCsv:
 
     def test_asymmetric_values_rejected(self, tmp_path):
         p = _write(tmp_path, "m.csv", "1,0.5\n0.7,2\n")
-        with pytest.raises(MatrixParseError, match="asymmetric"):
+        with pytest.raises(
+            MatrixParseError,
+            match=r"^values are asymmetric at \(0, 1\): \|difference\| = 0\.2$",
+        ):
             load_matrix_csv(p)
 
     def test_asymmetric_pattern_rejected(self, tmp_path):
         p = _write(tmp_path, "m.csv", "1,NA\n0.5,2\n")
-        with pytest.raises(MatrixParseError, match="pattern"):
+        with pytest.raises(
+            MatrixParseError, match=r"^observation pattern is asymmetric at \(0, 1\)$"
+        ):
             load_matrix_csv(p)
 
     def test_mask_file_variant(self, tmp_path):
@@ -227,6 +249,23 @@ class TestLoadMatrixCsv:
             match=r"mask marks \(0, 1\) observed but the matrix file has NA there",
         ):
             load_matrix_csv(mp, kp)
+
+    @pytest.mark.parametrize(
+        "first, names",
+        [
+            ("a,b", ["a", "b"]),
+            (" a ,1", ["a", "1"]),
+            ("NA,NA", None),
+            (" 1 ,NA", None),
+            ("1e0,nan", None),
+        ],
+    )
+    def test_header_detection(self, tmp_path, first, names):
+        # a first row is a header unless every cell parses as a number or NA
+        p = _write(tmp_path, "m.csv", f"{first}\n1,2\n")
+        raw, got = _read_rows(p)
+        assert got == names
+        assert len(raw) == (1 if names else 2)
 
     def test_header_row_accepted(self, tmp_path):
         p = _write(tmp_path, "m.csv", "a,b\n1,0.5\n0.5,2\n")

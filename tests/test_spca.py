@@ -389,3 +389,24 @@ class TestSufficientConditionsReport:
             - 1.0,
         )
         assert rep.xi == pytest.approx(expected, rel=1e-12)
+
+    def test_full_support(self):
+        # s = d: both off-support blocks are empty, so their norms, degrees
+        # and xi are 0 and only the sign-agreement side is nonzero
+        from spcarec.harness import gen_instance
+
+        g = random_graph(6, 30, 1)
+        inst = gen_instance(6, 6, 5.0, 0.1, g, 2)
+        assert inst.support == frozenset(range(6))
+        rescaled = rescaled_parameter(inst.m_star, g, 0.1, inst.support)
+        assert rescaled == pytest.approx(17.570935599723562, rel=1e-12)
+        rep = sufficient_conditions_report(inst.m_star, g, 0.1, 0.5, inst.support)
+        assert rep.rescaled == rescaled
+        assert rep.xi == 0.0
+        by_name = {r.name: r for r in rep.ineq}
+        sign = by_name.pop("sign_agreement")
+        assert sign.lhs == pytest.approx(21.26114146855435, rel=1e-12)
+        assert len(by_name) == 4
+        for rec in by_name.values():
+            assert rec.lhs == 0.0
+            assert rec.holds
