@@ -20,9 +20,10 @@ alone.  The batteries are:
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
 
-The reference file is only read.  The script exits 1 when any ``mc-easy``
-CSV differs from its reference bytes, and 0 otherwise.  BLAS is pinned to
-one thread, as in the benchmark, before numpy is imported.
+The reference file is only read.  The script exits 1 when any solve in
+either battery stops at max_iter without converging, or when any
+``mc-easy`` CSV differs from its reference bytes, and 0 otherwise.  BLAS
+is pinned to one thread, as in the benchmark, before numpy is imported.
 """
 
 from __future__ import annotations
@@ -84,20 +85,23 @@ class _Recorder:
         spca._path_witness = self._witness
 
 
-def _summary(name: str, solves: list, extra: str = "") -> str:
+def _summary(name: str, solves: list, extra: str = "") -> tuple[str, bool]:
+    """The battery's summary line and whether every solve converged."""
     iters = sum(n for n, _, _ in solves)
     nonconverged = sum(1 for _, c, _ in solves if not c)
     worst = max(g for _, _, g in solves)
     worst_conv = max((g for _, c, g in solves if c), default=float("nan"))
-    return (
+    line = (
         f"{name}: {len(solves)} solves, {iters} iterations, "
         f"{nonconverged} not converged, worst relative gap {worst:.2e} "
         f"(converged solves {worst_conv:.2e}){extra}"
     )
+    return line, nonconverged == 0
 
 
 def mc_easy() -> tuple[str, bool]:
-    """The battery's summary line and whether every CSV equals the reference."""
+    """The battery's summary line and whether every solve converged and
+    every CSV equals the reference."""
     pool = json.loads(REFERENCE.read_text())["mc-easy"]
     same = 0
     with _Recorder() as rec, tempfile.TemporaryDirectory() as tmp:
@@ -118,10 +122,11 @@ def mc_easy() -> tuple[str, bool]:
         f", CSV equal to reference {same}/{len(pool)}, "
         f"witness certified {rec.certified}/{rec.tried} rho > 0 points"
     )
-    return _summary("mc-easy", rec.solves, extra), same == len(pool)
+    line, converged = _summary("mc-easy", rec.solves, extra)
+    return line, converged and same == len(pool)
 
 
-def acceptance_02() -> str:
+def acceptance_02() -> tuple[str, bool]:
     rng = np.random.default_rng(1002)
     with _Recorder() as rec:
         for k in range(120):
@@ -137,10 +142,12 @@ def acceptance_02() -> str:
 
 
 def main() -> int:
-    print(acceptance_02(), flush=True)
-    line, csv_equal = mc_easy()
-    print(line, flush=True)
-    return 0 if csv_equal else 1
+    ok = True
+    for battery in (acceptance_02, mc_easy):
+        line, passed = battery()
+        print(line, flush=True)
+        ok &= passed
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

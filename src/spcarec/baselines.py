@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ThresholdTooLarge
 from .graph import ObservationGraph
-from .numerics import SymMatrix, _soft_threshold_arr
+from .numerics import SymMatrix, _check_nonnegative_finite, _soft_threshold_arr
 from .sdp import SdpSolution, solve_sdp, support_of
 
 __all__ = [
@@ -63,8 +63,7 @@ def itspca(
     iterate collapses to zero.
     """
     m = SymMatrix(m)
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_nonnegative_finite(threshold, "threshold")
     d = m.dim
     # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
     if rng_seed is None:

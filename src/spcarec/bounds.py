@@ -104,8 +104,10 @@ def tail_bound_montecarlo(
     same answer; the trials are evaluated in blocks of `_TAIL_BLOCK`, one
     batched SVD per block.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be a positive finite real")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     mask = s_pattern.pattern

@@ -60,6 +60,8 @@ def _parse_buckets(text: str) -> list[tuple[float, float]]:
 
 
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise MatrixParseError("grid start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise MatrixParseError("need step > 0 and stop >= start")
     count = int(round((stop - start) / step)) + 1
@@ -149,10 +151,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     buckets = _parse_buckets(args.buckets)
-    grid = _grid(args.grid_start, args.grid_stop, args.grid_step)
-    # unset --a and pitprops --sigma fall through to the library's defaults
-    given = {"a": args.a, "sigma": args.sigma}
+    # unset flags fall through to the library's defaults
+    given = {"reps": args.reps, "a": args.a, "sigma": args.sigma}
     given = {k: v for k, v in given.items() if v is not None}
+    grid_flags = (args.grid_start, args.grid_stop, args.grid_step)
+    if grid_flags != (None, None, None):
+        if None in grid_flags:
+            raise MatrixParseError(
+                "give --grid-start, --grid-stop and --grid-step together"
+            )
+        given["rho_grid"] = _grid(*grid_flags)
     if args.mode == "synthetic":
         if args.method != "sdp":
             raise MatrixParseError(
@@ -161,14 +169,14 @@ def _cmd_experiment(args) -> int:
             )
         rows = run_bucket_experiment(
             args.d, args.s, args.gap, given.pop("sigma", 0.0), args.budget,
-            buckets, args.reps, grid, rng_seed=args.seed, **given,
+            buckets, rng_seed=args.seed, **given,
         )
     else:
         if not args.matrix:
             raise MatrixParseError("--matrix is required for pitprops mode")
         rows = pitprops_experiment(
-            args.matrix, args.budget, buckets, reps=args.reps, rho_grid=grid,
-            rng_seed=args.seed, method=args.method, **given,
+            args.matrix, args.budget, buckets, rng_seed=args.seed,
+            method=args.method, **given,
         )
     emit_csv(rows, args.out)
     for r in rows:
@@ -274,15 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--s", type=int, default=10)
     e.add_argument("--gap", type=float, default=10.0)
     e.add_argument("--sigma", type=float, default=None,
-                   help="default 0 for synthetic, 0.1 for pitprops")
+                   help="unset: 0 for synthetic, library default for pitprops")
     e.add_argument("--budget", type=int, default=1250)
     e.add_argument("--buckets", required=True, help="e.g. 0:2,8:10,16:18")
-    e.add_argument("--reps", type=int, default=20)
-    e.add_argument("--grid-start", type=float, default=0.025)
-    e.add_argument("--grid-stop", type=float, default=1.0)
-    e.add_argument("--grid-step", type=float, default=0.025)
+    e.add_argument("--reps", type=int, default=None, help="unset: library default")
+    e.add_argument("--grid-start", type=float, default=None,
+                   help="give all three grid flags or none; unset: library default")
+    e.add_argument("--grid-stop", type=float, default=None)
+    e.add_argument("--grid-step", type=float, default=None)
     e.add_argument("--a", type=float, default=None,
-                   help="criterion weight; default 0.5 synthetic, 0.4 pitprops")
+                   help="criterion weight; unset: library default")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--workers", type=int, choices=[1], default=1,
                    help="repetitions run serially; accepted only for "

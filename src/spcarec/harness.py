@@ -79,7 +79,6 @@ class ProblemInstance:
     sigma: float
     graph: ObservationGraph
     m: SymMatrix
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def gen_instance(
     lam1 = (lam_rest[0] if d > 1 else 0.0) + gap
     lams = np.concatenate([[lam1], lam_rest])
     m_star = SymMatrix((q * lams) @ q.T)
-    return _observe(m_star, idx, sigma, graph, rng, rng_seed)
+    return _observe(m_star, idx, sigma, graph, rng)
 
 
 def _observe(
@@ -152,7 +151,6 @@ def _observe(
     sigma: float,
     graph: ObservationGraph,
     rng: np.random.Generator,
-    seed: int,
 ) -> ProblemInstance:
     """Noisy masked observation of m_star; the noise is drawn from rng."""
     d = m_star.dim
@@ -166,7 +164,6 @@ def _observe(
         sigma=float(sigma),
         graph=graph,
         m=SymMatrix(graph.mask * noisy),
-        seed=int(seed),
     )
 
 
@@ -252,7 +249,7 @@ def _rep_task(spec: _Spec, bucket_idx: int, bucket: tuple[float, float], rep: in
         )
     else:
         rng = np.random.default_rng(np.random.SeedSequence(inst_seed))
-        inst = _observe(spec.m_star, support, spec.sigma, graph, rng, inst_seed)
+        inst = _observe(spec.m_star, support, spec.sigma, graph, rng)
     rescaled = rescaled_parameter(inst.m_star, graph, spec.sigma, inst.support)
     return spec.score(inst, spec), rescaled
 
@@ -295,7 +292,7 @@ def run_bucket_experiment(
     sigma: float,
     budget: int,
     buckets,
-    reps: int,
+    reps: int = 20,
     rho_grid=None,
     a: float = 0.5,
     rng_seed: int = 0,
@@ -501,11 +498,21 @@ def write_mask_csv(path, graph: ObservationGraph) -> None:
             writer.writerow(mask[i].tolist())
 
 
-_ROW_HEADER = ["bucket_lo", "bucket_hi", "gap", "sigma", "reps", "rate", "mean_rescaled"]
-
-
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+# one (CSV header, ExperimentRow field, writer, reader) entry per column
+_COLUMNS = (
+    ("bucket_lo", "bucket_lo", _fmt, float),
+    ("bucket_hi", "bucket_hi", _fmt, float),
+    ("gap", "spectral_gap", _fmt, float),
+    ("sigma", "sigma", _fmt, float),
+    ("reps", "reps", str, int),
+    ("rate", "exact_recovery_rate", _fmt, float),
+    ("mean_rescaled", "mean_rescaled", _fmt, float),
+)
+_ROW_HEADER = [header for header, *_ in _COLUMNS]
 
 
 def emit_csv(rows, path) -> None:
@@ -515,17 +522,7 @@ def emit_csv(rows, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_ROW_HEADER)
         for r in ordered:
-            writer.writerow(
-                [
-                    _fmt(r.bucket_lo),
-                    _fmt(r.bucket_hi),
-                    _fmt(r.spectral_gap),
-                    _fmt(r.sigma),
-                    str(r.reps),
-                    _fmt(r.exact_recovery_rate),
-                    _fmt(r.mean_rescaled),
-                ]
-            )
+            writer.writerow([write(getattr(r, f)) for _, f, write, _ in _COLUMNS])
 
 
 def parse_rows_csv(path) -> list[ExperimentRow]:
@@ -536,16 +533,6 @@ def parse_rows_csv(path) -> list[ExperimentRow]:
             raise MatrixParseError(f"unexpected header {header}")
         rows = []
         for rec in reader:
-            lo, hi, gap, sigma, reps, rate, mean_rescaled = rec
-            rows.append(
-                ExperimentRow(
-                    bucket_lo=float(lo),
-                    bucket_hi=float(hi),
-                    spectral_gap=float(gap),
-                    sigma=float(sigma),
-                    reps=int(reps),
-                    exact_recovery_rate=float(rate),
-                    mean_rescaled=float(mean_rescaled),
-                )
-            )
+            cells = zip(_COLUMNS, rec, strict=True)
+            rows.append(ExperimentRow(**{f: read(tok) for (_, f, _, read), tok in cells}))
     return rows

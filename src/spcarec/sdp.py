@@ -169,8 +169,8 @@ def _admm(
 
 def _check_solver_args(rho: float, tol: float, max_iter: int) -> None:
     _check_nonnegative_finite(rho, "rho")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite real")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
 

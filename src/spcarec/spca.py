@@ -112,10 +112,7 @@ class TuningTrace:
     grid: tuple[float, ...]
     criteria: tuple[float, ...]
     chosen_rho: float
-    a: float
     supports: tuple[frozenset, ...]
-    explained: tuple[float, ...]
-    baseline: float
     converged: tuple[bool, ...]
     iterations: tuple[int, ...]
     gaps: tuple[float, ...]
@@ -154,7 +151,6 @@ def tune_rho(
     base_sol, baseline = _baseline(m, tol, max_iter)
     criteria = []
     supports = []
-    explained = []
     diagnostics = []
     prev = base_sol
     for rho in grid:
@@ -169,7 +165,6 @@ def tune_rho(
         expl = _explained(m.a, sol.x_hat.a)
         criteria.append(_criterion_value(expl, baseline, len(sol.support), m.dim, a))
         supports.append(sol.support)
-        explained.append(expl)
 
     converged, iterations, gaps = zip(*diagnostics)
     best = 0
@@ -180,10 +175,7 @@ def tune_rho(
         grid=grid,
         criteria=tuple(criteria),
         chosen_rho=grid[best],
-        a=a,
         supports=tuple(supports),
-        explained=tuple(explained),
-        baseline=baseline,
         converged=converged,
         iterations=iterations,
         gaps=gaps,

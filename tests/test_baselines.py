@@ -77,6 +77,12 @@ class TestItspca:
         with pytest.raises(ThresholdTooLarge):
             itspca(SymMatrix(np.eye(3)), 10.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_bad_threshold(self, threshold):
+        # a NaN threshold used to run every iteration and return all coordinates
+        with pytest.raises(ValueError, match="threshold must be a nonnegative finite"):
+            itspca(SymMatrix(np.diag([3.0, 1.0, 0.5])), threshold)
+
     def test_spike_recovery(self):
         res = itspca(_spike(9, [0, 3, 5]), threshold=0.4)
         assert res.support == {0, 3, 5}

@@ -185,8 +185,12 @@ class TestTheorem2MonteCarlo:
 
     def test_validation(self):
         pattern = bipartite_from_mask(np.ones((2, 2), dtype=bool))
-        with pytest.raises(ValueError):
-            tail_bound_montecarlo(0.0, pattern, 1.0, 1000, 0)
+        for sigma in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma must be a positive finite"):
+                tail_bound_montecarlo(sigma, pattern, 1.0, 1000, 0)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                tail_bound_montecarlo(1.0, pattern, t, 1000, 0)
         with pytest.raises(ValueError):
             tail_bound_montecarlo(1.0, pattern, 1.0, 999, 0)
 

@@ -5,7 +5,8 @@ import argparse
 import numpy as np
 import pytest
 
-from spcarec.cli import _grid, build_parser, main
+from spcarec import cli, harness
+from spcarec.cli import build_parser, main
 from spcarec.graph import random_graph
 from spcarec.harness import (
     _METHODS,
@@ -80,6 +81,15 @@ class TestSolve:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_bad_tol_exit_code(self, instance_files, capsys, tol):
+        out, _, _ = instance_files
+        code = main(["solve", "--in", str(out), "--rho", "0.2", "--tol", tol, "--strict"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "tol must be a positive finite real" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, tmp_path):
         code = main(["solve", "--in", str(tmp_path / "nope.csv"), "--rho", "0.1"])
         assert code == 2
@@ -103,6 +113,21 @@ class TestTune:
         assert code == 0
         assert "chosen_rho:" in captured
         assert "rho,criterion,support" in captured
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [("0.1", "inf", "0.2"), ("0.1", "0.5", "nan")],
+    )
+    def test_non_finite_grid_exit_code(self, instance_files, capsys, start, stop, step):
+        out, _, _ = instance_files
+        code = main(
+            [
+                "tune", "--in", str(out), "--grid-start", start,
+                "--grid-stop", stop, "--grid-step", step,
+            ]
+        )
+        assert code == 2
+        assert "grid start, stop and step must be finite" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -232,11 +257,84 @@ class TestExperiment:
             assert "synthetic mode runs sdp" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
-    def test_default_grid_is_the_library_grid(self):
-        args = build_parser().parse_args(
-            ["experiment", "--mode", "synthetic", "--buckets", "0:2", "--out", "r.csv"]
-        )
-        assert _grid(args.grid_start, args.grid_stop, args.grid_step) == DEFAULT_RHO_GRID
+    def test_default_grid_is_the_library_grid(self, tmp_path, monkeypatch):
+        grids = []
+        real = harness.tune_rho
+
+        def spy(m, grid, *args, **kwargs):
+            grids.append(grid)
+            return real(m, grid, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "tune_rho", spy)
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv) == 0
+        assert grids == [DEFAULT_RHO_GRID]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid-start", "0.1"],
+            ["--grid-stop", "0.4", "--grid-step", "0.15"],
+            ["--grid-start", "0.1", "--grid-step", "0.15"],
+        ],
+    )
+    def test_partial_grid_flags_exit_code(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
+            "--out", str(out),
+        ]
+        assert main(argv + flags) == 2
+        assert "--grid-step together" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [("0.1", "inf", "0.2"), ("0.1", "0.5", "nan")],
+    )
+    def test_non_finite_grid_exit_code(self, tmp_path, capsys, start, stop, step):
+        out = tmp_path / "r.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--buckets", "0:2",
+            "--grid-start", start, "--grid-stop", stop, "--grid-step", step,
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "grid start, stop and step must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["synthetic", "pitprops"])
+    def test_forwards_only_given_flags(self, tmp_path, monkeypatch, mode):
+        seen = {}
+
+        def fake(*args, **kwargs):
+            seen.update(kwargs)
+            return []
+
+        runner = "run_bucket_experiment" if mode == "synthetic" else "pitprops_experiment"
+        monkeypatch.setattr(cli, runner, fake)
+        argv = [
+            "experiment", "--mode", mode, "--matrix", "p.csv", "--buckets", "0:2",
+            "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv) == 0
+        assert not seen.keys() & {"reps", "rho_grid", "a", "sigma"}
+        given = [
+            "--reps", "3", "--a", "0.3", "--sigma", "0.2",
+            "--grid-start", "0.1", "--grid-stop", "0.4", "--grid-step", "0.15",
+        ]
+        assert main(argv + given) == 0
+        if mode == "pitprops":
+            # synthetic mode passes sigma positionally
+            assert seen.pop("sigma") == 0.2
+        assert {k: seen[k] for k in ("reps", "rho_grid", "a")} == {
+            "reps": 3, "rho_grid": (0.1, 0.25, 0.4), "a": 0.3,
+        }
 
     def test_unset_a_is_the_library_default(self, tmp_path):
         # on this case a = 0.4, 0.5 and 0.6 give rates 1, 0.75 and 0.5

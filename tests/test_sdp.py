@@ -245,8 +245,14 @@ class TestSolveSdp:
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
             solve_sdp(m, -0.1)
-        with pytest.raises(ValueError):
-            solve_sdp(m, 0.1, tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be a positive finite"):
+                solve_sdp(m, 0.1, tol=tol)
+        # an infinite tol would certify any one-iteration solve
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            solve_restricted(m, 0.1, [0], tol=np.inf)
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            tune_rho(m, (0.1,), 0.5, tol=np.inf)
 
 
 def _planted(rng, d):
