@@ -15,7 +15,12 @@ import numpy as np
 
 from .errors import ThresholdTooLarge
 from .graph import ObservationGraph
-from .numerics import SymMatrix, _check_nonnegative_finite, _soft_threshold_arr
+from .numerics import (
+    SymMatrix,
+    _check_max_iter,
+    _check_nonnegative_finite,
+    _soft_threshold_arr,
+)
 from .sdp import SdpSolution, solve_sdp, support_of
 
 __all__ = [
@@ -64,6 +69,7 @@ def itspca(
     """
     m = SymMatrix(m)
     _check_nonnegative_finite(threshold, "threshold")
+    _check_max_iter(max_iter)
     d = m.dim
     # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
     if rng_seed is None:
@@ -122,6 +128,7 @@ def _complete_nuclear(
     eigendecomposition (`_svt`) and w + u is already the projection onto
     symmetric matrices.
     """
+    _check_max_iter(max_iter)
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)
     residual = np.inf

@@ -1,8 +1,9 @@
 """Executable forms of the deterministic-sampling auxiliary theorems.
 
 The deterministic masking bound is checked directly on given inputs; the
-sub-Gaussian tail bound is verified by Monte Carlo, with per-trial random
-substreams so results do not depend on execution order.
+sub-Gaussian tail bound is verified by Monte Carlo, drawing every trial
+from one generator seeded by the caller, so the same seed gives the same
+result.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .numerics import SymMatrix, spectral_norm
 __all__ = ["TailBoundCheck", "tau", "masking_difference_check", "tail_bound_montecarlo"]
 
 _RANK_CUTOFF = 1e-10
-# trials per batched SVD in tail_bound_montecarlo; small and fixed so the
-# one reused block of draws stays small whatever the trial count
+# trials per draw and batched SVD in tail_bound_montecarlo; small and fixed
+# so each block of draws stays small whatever the trial count
 _TAIL_BLOCK = 32
 
 
@@ -99,10 +100,9 @@ def tail_bound_montecarlo(
 
     Gaussian noise attains the sub-Gaussian parameter with equality, which
     makes it the canonical test law.  `holds` allows three binomial
-    standard errors on the empirical frequency.  Each trial draws from a
-    substream keyed by (rng_seed, trial), so any execution order gives the
-    same answer; the trials are evaluated in blocks of `_TAIL_BLOCK`, one
-    batched SVD per block.
+    standard errors on the empirical frequency.  All trials come from one
+    generator seeded by `rng_seed`, in blocks of `_TAIL_BLOCK`: one draw
+    and one batched SVD per block.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite real")
@@ -119,12 +119,9 @@ def tail_bound_montecarlo(
         exceed = trials if 0.0 >= t else 0
     else:
         exceed = 0
-        z = np.empty((_TAIL_BLOCK, m, n))
+        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
         for start in range(0, trials, _TAIL_BLOCK):
-            block = z[: min(_TAIL_BLOCK, trials - start)]
-            for i in range(block.shape[0]):
-                seq = np.random.SeedSequence((rng_seed, start + i))
-                np.random.default_rng(seq).standard_normal((m, n), out=block[i])
+            block = rng.standard_normal((min(_TAIL_BLOCK, trials - start), m, n))
             block *= sigma
             block[:, ~mask] = 0.0
             norms = np.linalg.svd(block, compute_uv=False)

@@ -54,8 +54,6 @@ def _parse_buckets(text: str) -> list[tuple[float, float]]:
             buckets.append((float(lo), float(hi)))
         except ValueError:
             raise MatrixParseError(f"cannot parse bucket {part!r}") from None
-    if not buckets:
-        raise MatrixParseError("no buckets given")
     return buckets
 
 

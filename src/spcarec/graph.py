@@ -94,20 +94,16 @@ def _graph(mask: np.ndarray) -> ObservationGraph:
 class BipartiteSubgraph:
     """Edges between two disjoint node sets (the block G_{L,R} of a graph).
 
-    `pattern` is a read-only bool |left| x |right| copy of the given mask,
-    rows/columns in declared order.
+    `pattern` is a read-only 2-d bool copy of the given mask: rows are the
+    left nodes, columns the right nodes.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
     pattern: np.ndarray
 
     def __post_init__(self):
-        if set(self.left) & set(self.right):
-            raise ValueError("left and right node sets must be disjoint")
         pattern = np.array(self.pattern, dtype=bool)
-        if pattern.shape != (len(self.left), len(self.right)):
-            raise ValueError("pattern shape must be |left| x |right|")
+        if pattern.ndim != 2:
+            raise ValueError("mask must be 2-d")
         pattern.setflags(write=False)
         object.__setattr__(self, "pattern", pattern)
 
@@ -122,18 +118,8 @@ def _bipartite_max_degree(p: np.ndarray) -> int:
 
 
 def bipartite_from_mask(mask) -> BipartiteSubgraph:
-    """Build a bipartite pattern from an m x n boolean/0-1 array.
-
-    Left nodes are 0..m-1 and right nodes are m..m+n-1 so the sides are
-    disjoint.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError("mask must be 2-d")
-    m, n = mask.shape
-    return BipartiteSubgraph(
-        left=tuple(range(m)), right=tuple(range(m, m + n)), pattern=mask
-    )
+    """Build a bipartite pattern from an m x n boolean/0-1 array."""
+    return BipartiteSubgraph(mask)
 
 
 def adjacency(g: ObservationGraph) -> SymMatrix:
@@ -221,11 +207,7 @@ def bipartite_block(g: ObservationGraph, left) -> BipartiteSubgraph:
     left, right = _support_arrays(g.n, left, "left set")
     if right.size == 0:
         raise ValueError("left set must be a proper subset of the nodes")
-    return BipartiteSubgraph(
-        left=tuple(left.tolist()),
-        right=tuple(right.tolist()),
-        pattern=g.mask[np.ix_(left, right)],
-    )
+    return BipartiteSubgraph(g.mask[np.ix_(left, right)])
 
 
 def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
@@ -273,14 +255,21 @@ def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationG
     return _graph(mask)
 
 
+def _check_graph_args(n: int, budget: int) -> None:
+    """A random graph needs n >= 1 nodes and a budget in [0, n^2]."""
+    if n < 1:
+        raise ValueError("node count must be positive")
+    if not 0 <= budget <= n * n:
+        raise ValueError(f"budget must be in [0, n^2], got {budget}")
+
+
 def random_graph(n: int, budget: int, rng_seed: int) -> ObservationGraph:
     """Uniformly sample pairs/loops until the ordered-entry count reaches budget.
 
     An off-diagonal pair contributes 2 to the count (both (i,j) and (j,i)),
     a loop contributes 1, so the final count lands in [budget, budget + 1].
     """
-    if not (0 <= budget <= n * n):
-        raise ValueError(f"budget must be in [0, n^2], got {budget}")
+    _check_graph_args(n, budget)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     return _random_graph(n, budget, rng)
 
@@ -302,6 +291,7 @@ def random_graph_bucketed(
     """
     if not ratio_lo < ratio_hi:
         raise ValueError("need ratio_lo < ratio_hi")
+    _check_graph_args(n, budget)
     support = _node_set(n, support, "support")
     for attempt in range(max_tries):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, attempt)))

@@ -26,6 +26,11 @@ def _check_nonnegative_finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be a nonnegative finite real")
 
 
+def _check_max_iter(max_iter: int) -> None:
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
 def _validated_square(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

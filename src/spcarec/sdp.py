@@ -21,6 +21,7 @@ from .graph import ObservationGraph, _support_arrays
 from .numerics import (
     EigDecomp,
     SymMatrix,
+    _check_max_iter,
     _check_nonnegative_finite,
     _eigh_descending,
     _project_spectrahedron_arr,
@@ -171,8 +172,7 @@ def _check_solver_args(rho: float, tol: float, max_iter: int) -> None:
     _check_nonnegative_finite(rho, "rho")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be a positive finite real")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_max_iter(max_iter)
 
 
 def solve_sdp(
@@ -226,8 +226,8 @@ def solve_restricted(
 
 def support_of(x_hat: SymMatrix, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
     """Indices whose diagonal exceeds threshold times the max diagonal entry."""
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise ValueError("threshold must be a positive finite real")
     x_hat = SymMatrix(x_hat)
     dg = np.diag(x_hat.a)
     mx = float(dg.max(initial=0.0))

@@ -83,6 +83,12 @@ class TestItspca:
         with pytest.raises(ValueError, match="threshold must be a nonnegative finite"):
             itspca(SymMatrix(np.diag([3.0, 1.0, 0.5])), threshold)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_bad_max_iter(self, max_iter):
+        # with no iteration the starting vector's support would be returned
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            itspca(SymMatrix(np.diag([3.0, 1.0, 0.5])), 0.9, max_iter=max_iter)
+
     def test_spike_recovery(self):
         res = itspca(_spike(9, [0, 3, 5]), threshold=0.4)
         assert res.support == {0, 3, 5}
@@ -242,6 +248,20 @@ class TestCompleteNuclear:
             call(np.ones((2, 3)), _complete_with_loops(2))
         out = call(np.eye(3).tolist(), _complete_with_loops(3))
         assert out is not None
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, g, k: complete_nuclear(m, g, max_iter=k),
+            lambda m, g, k: mc_then_sdp(m, g, 0.1, max_iter=k),
+        ],
+    )
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_bad_max_iter(self, call, max_iter):
+        # with no iteration the zero-filled observation would be returned
+        g = ObservationGraph(3, [(0, 0), (1, 1), (0, 1)])
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            call(SymMatrix(np.ones((3, 3))), g, max_iter)
 
     @settings(max_examples=60, deadline=None)
     @given(

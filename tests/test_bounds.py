@@ -196,13 +196,14 @@ class TestTheorem2MonteCarlo:
 
 
 def _per_trial_tail_norms(sigma, mask, trials, rng_seed):
-    """The per-trial loop tail_bound_montecarlo ran before its trials were
-    batched, kept as the reference: one draw and one SVD per trial.
+    """The per-trial loop kept as the reference for tail_bound_montecarlo's
+    blocks: the trials are drawn one after another from one generator, one
+    draw and one SVD per trial.
     Returns every trial's spectral norm; trial k exceeds t if norm >= t."""
     m, n = mask.shape
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     norms = []
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, trial)))
+    for _ in range(trials):
         z = np.where(mask, rng.standard_normal((m, n)) * sigma, 0.0)
         norms.append(np.linalg.svd(z, compute_uv=False)[0] if z.size else 0.0)
     return norms

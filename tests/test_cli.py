@@ -224,6 +224,17 @@ class TestExperiment:
         rows = parse_rows_csv(out)
         assert len(rows) == 2
 
+    def test_budget_above_n_squared_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "6", "--s", "2",
+            "--gap", "8", "--budget", "1000000", "--buckets", "0:2", "--reps", "1",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "budget must be in [0, n^2]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_bucket_syntax(self, tmp_path):
         code = main(
             [
@@ -393,9 +404,13 @@ class TestBounds:
         code = main(
             [
                 "bounds", "--check", "thm2", "--m", "4", "--n", "4",
-                "--sigma", "1.0", "--trials", "1000", "--seed", "2",
+                "--sigma", "1.0", "--t", "4", "--trials", "1000", "--seed", "2",
             ]
         )
         captured = capsys.readouterr().out
         assert code == 0
-        assert "holds=True" in captured
+        # pins the trial stream of seed 2: at t = 4 some but not all of the
+        # 1000 trials exceed t
+        assert captured == (
+            "t=4  bound=2.16536  empirical=0.093  trials=1000  holds=True\n"
+        )

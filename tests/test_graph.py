@@ -178,7 +178,6 @@ class TestBipartiteBlock:
     def test_triangle(self):
         g = ObservationGraph(3, [(0, 1), (0, 2), (1, 2)])
         blk = bipartite_block(g, [0])
-        assert (blk.left, blk.right) == ((0,), (1, 2))
         np.testing.assert_array_equal(blk.pattern, [[True, True]])
         assert blk.max_degree() == 2
 
@@ -200,6 +199,11 @@ class TestBipartiteBlock:
         blk = bipartite_from_mask(mask)
         np.testing.assert_array_equal(blk.pattern, mask.astype(bool))
         assert blk.max_degree() == 2
+
+    def test_mask_must_be_2d(self):
+        for mask in (np.ones(3, dtype=bool), np.ones((2, 2, 2), dtype=bool)):
+            with pytest.raises(ValueError, match="mask must be 2-d"):
+                bipartite_from_mask(mask)
 
 
 class TestRandomGraph:
@@ -225,6 +229,9 @@ class TestRandomGraph:
             random_graph(3, 10, 0)
         with pytest.raises(ValueError):
             random_graph(3, -1, 0)
+        # ObservationGraph(0) refuses n = 0, so the generator does too
+        with pytest.raises(ValueError, match="node count must be positive"):
+            random_graph(0, 0, 0)
 
 
 class TestRandomGraphBucketed:
@@ -249,6 +256,15 @@ class TestRandomGraphBucketed:
         for support in ([0, 8], [-1, 2]):
             with pytest.raises(ValueError, match="out of range"):
                 random_graph_bucketed(8, 40, support, 0.0, 1.0, 5, 0)
+
+    def test_budget_checked_like_random_graph(self):
+        # above n^2 the draw would silently be the complete graph; below 0
+        # it would use up max_tries and raise BucketExhausted
+        for budget in (37, 10**6, -1, -5):
+            with pytest.raises(ValueError, match="budget must be in"):
+                random_graph_bucketed(6, budget, [0, 1], 0.0, np.inf, 5, 0)
+        with pytest.raises(ValueError, match="node count must be positive"):
+            random_graph_bucketed(0, 0, [0], 0.0, np.inf, 5, 0)
 
     def test_deterministic(self):
         a = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)
@@ -358,7 +374,8 @@ def _ref_induced_subgraph(g, nodes):
 
 
 def _ref_bipartite_block(g, left):
-    """(left, right, pattern, max degree) of the block G_{L, L^c}."""
+    """(pattern, max degree) of the block G_{L, L^c}: rows are the sorted
+    left set, columns its sorted complement."""
     left = sorted(set(int(v) for v in left))
     lset = set(left)
     right = tuple(v for v in range(g.n) if v not in lset)
@@ -375,7 +392,7 @@ def _ref_bipartite_block(g, left):
     pattern = np.zeros((len(left), len(right)), dtype=bool)
     for l, r in edges:
         pattern[li[l], ri[r]] = True
-    return tuple(left), right, pattern, max(counts.values(), default=0)
+    return pattern, max(counts.values(), default=0)
 
 
 def _ref_block_quantities(g, nodes):
@@ -461,8 +478,7 @@ class TestMatchesEdgeSetReference:
         if n >= 2:
             left = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
             blk = bipartite_block(g, left)
-            ref_left, ref_right, ref_pattern, ref_dmax = _ref_bipartite_block(ref, left)
-            assert (blk.left, blk.right) == (ref_left, ref_right)
+            ref_pattern, ref_dmax = _ref_bipartite_block(ref, left)
             assert blk.pattern.dtype == bool
             np.testing.assert_array_equal(blk.pattern, ref_pattern)
             assert blk.max_degree() == ref_dmax

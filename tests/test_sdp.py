@@ -461,8 +461,10 @@ class TestSupportOf:
         assert support_of(SymMatrix(np.zeros((3, 3)))) == frozenset()
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            support_of(SymMatrix(np.eye(2)), 0.0)
+        # an infinite threshold would make every support empty
+        for threshold in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="threshold must be a positive finite"):
+                support_of(SymMatrix(np.eye(2)), threshold)
 
 
 class TestSupportArrays:
