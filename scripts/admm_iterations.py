@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the ADMM iterations that two fixed solve batteries take.
+"""Count the ADMM iterations that three fixed solve batteries take.
 
     PYTHONPATH=src python3 scripts/admm_iterations.py
 
@@ -19,11 +19,17 @@ alone.  The batteries are:
 * ``acceptance-02``: the 120 cold solves of
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
+* ``solve-d200``: the 60 cold solves of the benchmark's ``solve-d200``
+  pool (20 instances at d=200 times rho in {0.1, 0.3, 0.6}), built and run
+  by ``perfbench/workloads.py``'s ``SolveD200``.  Each solve is checked by
+  its certificate: it converged, its relative certified gap is <= tol, its
+  KKT stationarity is <= 1e-5, and its support equals the reference.
 
-The reference file is only read.  The script exits 1 when any solve in
-either battery stops at max_iter without converging, or when any
-``mc-easy`` CSV differs from its reference bytes, and 0 otherwise.  BLAS
-is pinned to one thread, as in the benchmark, before numpy is imported.
+``perfbench/`` is only read and imported from.  The script exits 1 when
+any solve in any battery stops at max_iter without converging, when any
+``mc-easy`` CSV differs from its reference bytes, or when a ``solve-d200``
+solve fails its check, and 0 otherwise.  BLAS is pinned to one thread, as
+in the benchmark, before numpy is imported.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ from spcarec.numerics import SymMatrix  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.json"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import REFERENCE_SEED, SolveD200  # noqa: E402
 
 
 class _Recorder:
@@ -141,9 +150,35 @@ def acceptance_02() -> tuple[str, bool]:
     return _summary("acceptance-02", rec.solves)
 
 
+def solve_d200() -> tuple[str, bool]:
+    """The battery's summary line and whether every solve passed its
+    certificate check."""
+    pool = json.loads(REFERENCE.read_text())["solve-d200"]
+    workload = SolveD200(REFERENCE_SEED, "", pool)
+    same = 0
+    stationarity = []
+    with _Recorder() as rec:
+        for member in pool:
+            out = workload.run_member(member)
+            same += out["support"] == member["support"]
+            stationarity.append(out["stationarity"])
+    worst = max(stationarity)
+    extra = (
+        f", supports equal to reference {same}/{len(pool)}, "
+        f"worst KKT stationarity {worst:.2e}"
+    )
+    line, converged = _summary("solve-d200", rec.solves, extra)
+    certified = all(g <= sdp.DEFAULT_TOL for _, _, g in rec.solves)
+    passed = (
+        converged and certified and same == len(pool)
+        and worst <= SolveD200.stationarity_bound
+    )
+    return line, passed
+
+
 def main() -> int:
     ok = True
-    for battery in (acceptance_02, mc_easy):
+    for battery in (acceptance_02, mc_easy, solve_d200):
         line, passed = battery()
         print(line, flush=True)
         ok &= passed

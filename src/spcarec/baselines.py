@@ -19,6 +19,7 @@ from .numerics import (
     SymMatrix,
     _check_max_iter,
     _check_nonnegative_finite,
+    _check_positive_finite,
     _soft_threshold_arr,
 )
 from .sdp import SdpSolution, solve_sdp, support_of
@@ -69,6 +70,7 @@ def itspca(
     """
     m = SymMatrix(m)
     _check_nonnegative_finite(threshold, "threshold")
+    _check_positive_finite(tol, "tol")
     _check_max_iter(max_iter)
     d = m.dim
     # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
@@ -128,6 +130,7 @@ def _complete_nuclear(
     eigendecomposition (`_svt`) and w + u is already the projection onto
     symmetric matrices.
     """
+    _check_positive_finite(tol, "tol")
     _check_max_iter(max_iter)
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)

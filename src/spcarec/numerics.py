@@ -26,6 +26,12 @@ def _check_nonnegative_finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be a nonnegative finite real")
 
 
+def _check_positive_finite(value: float, what: str) -> None:
+    # written so that NaN fails too
+    if not 0 < value < np.inf:
+        raise ValueError(f"{what} must be a positive finite real")
+
+
 def _check_max_iter(max_iter: int) -> None:
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

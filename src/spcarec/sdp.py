@@ -7,7 +7,9 @@ The problem solved is
 by two-block ADMM on the equivalent split form with X constrained to the
 spectrahedron and an auxiliary copy Y carrying the l1 term.  Both proximal
 maps are exact: the X-update is a spectrahedron projection, the Y-update is
-entrywise soft thresholding.
+entrywise soft thresholding.  The iteration is a fixed-point map of the
+Douglas-Rachford variable S = X + U, which is extrapolated by safeguarded
+type-II Anderson acceleration.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .numerics import (
     SymMatrix,
     _check_max_iter,
     _check_nonnegative_finite,
+    _check_positive_finite,
     _eigh_descending,
     _project_spectrahedron_arr,
     _soft_threshold_arr,
@@ -52,6 +55,17 @@ _STRICT_MARGIN = 1e-10
 # iterations: often enough that rn and sn cannot drift apart for good,
 # rarely enough that the iterates can settle between rescalings
 _REBALANCE_EVERY = 50
+# Anderson acceleration of the Douglas-Rachford variable: the number of
+# differences kept; how far the residual at an extrapolated point may
+# exceed the last accepted one before the point is dropped; and the ridge
+# of the least-squares weights, relative to |g|^2.  The ridge bounds the
+# weights by 1 / sqrt(_AA_RIDGE), and it leaves s at the plain image when
+# the differences of g are negligible next to g, as when s drifts by a
+# constant step; there, unregularized weights fit rounding noise, and
+# they sent an iterate to 1e17 or kept solves from converging
+_AA_MEMORY = 5
+_AA_SAFEGUARD = 2.0
+_AA_RIDGE = 1e-10
 
 
 @dataclass(eq=False)
@@ -107,7 +121,24 @@ def _admm(
         beta = 1.0
     else:
         y, u, beta = state
-        y, u = y.copy(), u.copy()
+    # the Douglas-Rachford variable: y = soft(s, rho / beta) and u = s - y
+    s = y + u
+
+    # Anderson history: differences of the plain image f(s) = x + u and of
+    # the fixed-point residual g = f(s) - s between consecutive accepted
+    # points, in ring slots, with the Gram matrix of the g differences
+    # updated one row per push.  The type-II step is
+    # s = f - (dS + dG) gamma = f - dF gamma, where gamma minimizes
+    # |g - dG gamma|^2 + _AA_RIDGE |g|^2 |gamma|^2
+    df = np.zeros((_AA_MEMORY, d, d))
+    dg = np.zeros((_AA_MEMORY, d, d))
+    dfv = df.reshape(_AA_MEMORY, d * d)
+    dgv = dg.reshape(_AA_MEMORY, d * d)
+    gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+    filled = slot = 0
+    # the last accepted point's image and residual (its norm is gn_acc)
+    f_acc = g_acc = None
+    extrapolated = False
 
     # Frobenius norms are sqrt(v.v) on the raveled array, which is what
     # np.linalg.norm computes, without its dispatch
@@ -118,10 +149,41 @@ def _admm(
     rebalanced_at = 0
     for iterations in range(1, max_iter + 1):
         x = _project_spectrahedron_arr(y - u + m_beta)
+        f = x + u
+        g = f - s
+        gv = g.ravel()
+        gn = sqrt(gv.dot(gv))
+        if extrapolated and gn > _AA_SAFEGUARD * gn_acc:
+            # safeguard: drop the extrapolated point and take the plain
+            # step from the last accepted one
+            s = f_acc
+            extrapolated = False
+        else:
+            if f_acc is not None:
+                np.subtract(f, f_acc, out=df[slot])
+                np.subtract(g, g_acc, out=dg[slot])
+                filled = min(filled + 1, _AA_MEMORY)
+                # einsum, not a BLAS product: each entry is then the same
+                # sum as dg_i . dg_j on its own, whatever the slot
+                row = np.einsum("ij,j->i", dgv[:filled], dgv[slot])
+                gram[slot, :filled] = row
+                gram[:filled, slot] = row
+                slot = (slot + 1) % _AA_MEMORY
+            f_acc, g_acc, gn_acc = f, g, gn
+            s = f
+            if filled:
+                gk = gram[:filled, :filled].copy()
+                gk.flat[:: filled + 1] += _AA_RIDGE * gn * gn
+                try:
+                    gamma = np.linalg.solve(gk, dgv[:filled] @ gv)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    s = f - (gamma @ dfv[:filled]).reshape(d, d)
+                    extrapolated = True
         y_old = y
-        y = _soft_threshold_arr(x + u, t)
-        u += x
-        u -= y
+        y = _soft_threshold_arr(s, t)
+        u = s - y
 
         xv, yv, uv = x.ravel(), y.ravel(), u.ravel()
         dxy = (x - y).ravel()
@@ -152,6 +214,11 @@ def _admm(
         m_beta = m / beta
         t = rho / beta
         rebalanced_at = iterations
+        # the rescaled u moves s onto another map: restart the history there
+        s = y + u
+        f_acc = None
+        filled = slot = 0
+        extrapolated = False
 
     x_hat = SymMatrix(x)
     return SdpSolution(
@@ -170,8 +237,7 @@ def _admm(
 
 def _check_solver_args(rho: float, tol: float, max_iter: int) -> None:
     _check_nonnegative_finite(rho, "rho")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be a positive finite real")
+    _check_positive_finite(tol, "tol")
     _check_max_iter(max_iter)
 
 
@@ -226,8 +292,7 @@ def solve_restricted(
 
 def support_of(x_hat: SymMatrix, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
     """Indices whose diagonal exceeds threshold times the max diagonal entry."""
-    if not 0 < threshold < math.inf:
-        raise ValueError("threshold must be a positive finite real")
+    _check_positive_finite(threshold, "threshold")
     x_hat = SymMatrix(x_hat)
     dg = np.diag(x_hat.a)
     mx = float(dg.max(initial=0.0))

@@ -83,6 +83,12 @@ class TestItspca:
         with pytest.raises(ValueError, match="threshold must be a nonnegative finite"):
             itspca(SymMatrix(np.diag([3.0, 1.0, 0.5])), threshold)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_tol(self, tol):
+        # a NaN or negative tol used to run all max_iter iterations
+        with pytest.raises(ValueError, match="tol must be a positive finite real"):
+            itspca(SymMatrix(np.diag([3.0, 1.0, 0.5])), 0.1, tol=tol)
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_bad_max_iter(self, max_iter):
         # with no iteration the starting vector's support would be returned
@@ -262,6 +268,20 @@ class TestCompleteNuclear:
         g = ObservationGraph(3, [(0, 0), (1, 1), (0, 1)])
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             call(SymMatrix(np.ones((3, 3))), g, max_iter)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, g, tol: complete_nuclear(m, g, tol=tol),
+            lambda m, g, tol: mc_then_sdp(m, g, 0.1, tol=tol),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_tol(self, call, tol):
+        # a NaN tol used to run all 5000 completion iterations and report
+        # completion_converged False at a residual of 7e-16
+        with pytest.raises(ValueError, match="tol must be a positive finite real"):
+            call(SymMatrix(np.ones((3, 3))), _complete_with_loops(3), tol)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spcarec.graph import ObservationGraph, random_graph
+from spcarec.graph import ObservationGraph, random_graph, random_graph_bucketed
+from spcarec.harness import (
+    _EXPERIMENT_TOL,
+    DEFAULT_MAX_TRIES,
+    _child_seed,
+    gen_instance,
+)
 from spcarec.numerics import SymMatrix, eigh, project_simplex, project_spectrahedron
 from spcarec.spca import tune_rho
 from spcarec.sdp import (
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     _path_witness,
     _restricted_witness,
@@ -24,8 +31,10 @@ from spcarec.sdp import (
 )
 
 
-# Reference implementation: the straightforward form of the ADMM loop and
-# the projections, kept here to pin the solver's iterates bit for bit.
+# Reference implementations: the straightforward forms of the projections,
+# of the plain ADMM loop, kept as an oracle for the solver's outcomes, and
+# of the Anderson-accelerated loop, kept to pin the solver's iterates bit
+# for bit.
 
 
 def _reference_project_simplex(v):
@@ -97,6 +106,110 @@ def _reference_admm(m, rho, tol, max_iter, state=None):
                 beta /= 2.0
                 u *= 2.0
                 last_rebalance = iterations
+    if not converged:
+        objective, z, gap = _reference_certificate(m, rho, x, beta, u)
+    return {
+        "x_hat": 0.5 * (x + x.T),
+        "objective": objective,
+        "iterations": iterations,
+        "primal_residual": rn,
+        "dual_residual": sn,
+        "gap": gap,
+        "converged": converged,
+        "z_dual": z,
+        "state": (y, u, beta),
+    }
+
+
+def _reference_aa_admm(m, rho, tol, max_iter, state=None, counts=None):
+    """The plain loop's stop and beta rules around type-II Anderson
+    acceleration (memory 5) of s = x + u, which the projection, the soft
+    threshold and u = s - y map to its plain image f = x + u.
+
+    History pairs (f - f', g - g'), g = f - s, between consecutive accepted
+    points fill five slots in turn; the least-squares weights solve the
+    Gram system with 1e-10 |g|^2 added to its diagonal.  An extrapolated
+    point is kept only while |g| there is at most twice the last accepted
+    |g|; otherwise the loop continues from the last accepted point's f.  A
+    beta rebalance empties the history.  `counts` tallies dropped extrapolations ("rejected") and
+    rebalances that emptied a nonempty history ("resets").
+    """
+    if counts is None:
+        counts = {"rejected": 0, "resets": 0}
+    d = m.shape[0]
+    if state is None:
+        y = np.eye(d) / d
+        u = np.zeros((d, d))
+        beta = 1.0
+    else:
+        y, u, beta = state
+    s = y + u
+    slots = [None] * 5
+    nxt = 0
+    accepted = None  # (f, g, |g|) at the last accepted point
+    extrapolated = False
+    rn = sn = math.inf
+    converged = False
+    iterations = 0
+    last_rebalance = 0
+    for iterations in range(1, max_iter + 1):
+        x = _reference_project_spectrahedron(y - u + m / beta)
+        f = x + u
+        g = f - s
+        if extrapolated and _frob(g) > 2.0 * accepted[2]:
+            counts["rejected"] += 1
+            s = accepted[0]
+            extrapolated = False
+        else:
+            if accepted is not None:
+                slots[nxt] = (f - accepted[0], g - accepted[1])
+                nxt = (nxt + 1) % 5
+            accepted = (f, g, _frob(g))
+            s = f
+            pairs = [p for p in slots if p is not None]
+            if pairs:
+                dfs = np.array([p[0].ravel() for p in pairs])
+                dgs = np.array([p[1].ravel() for p in pairs])
+                gram = np.array([[np.einsum("j,j->", a, b) for b in dgs] for a in dgs])
+                gram[np.diag_indices(len(pairs))] += 1e-10 * accepted[2] * accepted[2]
+                try:
+                    gamma = np.linalg.solve(gram, dgs @ g.ravel())
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    s = f - (gamma @ dfs).reshape(d, d)
+                    extrapolated = True
+        y_old = y
+        y = np.sign(s) * np.maximum(np.abs(s) - rho / beta, 0.0)
+        u = s - y
+        r = _frob(x - y)
+        sd = beta * _frob(y - y_old)
+        rn = r / max(1.0, _frob(x), _frob(y))
+        sn = sd / max(1.0, beta * _frob(u))
+        # stop on small residuals plus a certified gap within tolerance
+        if max(rn, sn) <= tol:
+            objective, z, gap = _reference_certificate(m, rho, x, beta, u)
+            if gap <= tol * max(1.0, abs(objective)):
+                converged = True
+                break
+        # rebalance every iteration far from convergence, then at most once
+        # per 50 iterations; a rebalance restarts the history at y + u
+        if max(rn, sn) >= 100.0 * tol or iterations - last_rebalance >= 50:
+            if rn > 10.0 * sn and beta < 1e6:
+                beta *= 2.0
+                u = u / 2.0
+            elif sn > 10.0 * rn and beta > 1e-6:
+                beta /= 2.0
+                u = u * 2.0
+            else:
+                continue
+            last_rebalance = iterations
+            counts["resets"] += any(p is not None for p in slots)
+            s = y + u
+            slots = [None] * 5
+            nxt = 0
+            accepted = None
+            extrapolated = False
     if not converged:
         objective, z, gap = _reference_certificate(m, rho, x, beta, u)
     return {
@@ -264,31 +377,57 @@ def _planted(rng, d):
     return SymMatrix(4.0 * np.outer(u, u) + a + a.T)
 
 
-class TestBitIdentity:
-    """solve_sdp reproduces the reference loop exactly, cold and warm-started."""
+_BIT_DS = (1, 2, 13, 20, 50)
+_BIT_RHOS = (0.0, 0.05, 0.3)
+# caps that stop most of these solves short of convergence, so the
+# certificate of a solve that ends at max_iter is pinned too
+_BIT_CAPS = (3, 60)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
-    @pytest.mark.parametrize("d", [1, 2, 13, 20, 50])
+
+def _bit_identity_input(d, rho):
+    return _planted(np.random.default_rng([d, round(100 * rho)]), d)
+
+
+class TestBitIdentity:
+    """solve_sdp reproduces the reference Anderson loop exactly, cold and
+    warm-started."""
+
+    @pytest.mark.parametrize("rho", _BIT_RHOS)
+    @pytest.mark.parametrize("d", _BIT_DS)
     def test_matches_reference(self, d, rho):
         self._check(d, rho, 5000)
 
-    # caps that stop most of these solves short of convergence, so the
-    # certificate of a solve that ends at max_iter is pinned too
-    @pytest.mark.parametrize("max_iter", [3, 60])
-    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
-    @pytest.mark.parametrize("d", [1, 2, 13, 20, 50])
+    @pytest.mark.parametrize("max_iter", _BIT_CAPS)
+    @pytest.mark.parametrize("rho", _BIT_RHOS)
+    @pytest.mark.parametrize("d", _BIT_DS)
     def test_capped_matches_reference(self, d, rho, max_iter):
         self._check(d, rho, max_iter)
 
+    def test_battery_reaches_safeguard_and_reset(self):
+        # the cases above drop extrapolated points and empty a nonempty
+        # history on a rebalance, so both paths are pinned, not skipped
+        counts = {"rejected": 0, "resets": 0}
+        for d in _BIT_DS:
+            for rho in _BIT_RHOS:
+                m = _bit_identity_input(d, rho)
+                for max_iter in (5000, *_BIT_CAPS):
+                    state = None
+                    for step_rho in (rho, rho + 0.05):
+                        ref = _reference_aa_admm(
+                            m.a, step_rho, DEFAULT_TOL, max_iter, state, counts
+                        )
+                        state = ref["state"]
+        assert counts["rejected"] > 0
+        assert counts["resets"] > 0
+
     @staticmethod
     def _check(d, rho, max_iter):
-        rng = np.random.default_rng([d, round(100 * rho)])
-        m = _planted(rng, d)
+        m = _bit_identity_input(d, rho)
         prev = ref_state = None
         # a cold solve, then one warm-started from it at the next penalty
         for step_rho in (rho, rho + 0.05):
             sol = solve_sdp(m, step_rho, max_iter=max_iter, warm_start=prev)
-            ref = _reference_admm(m.a, step_rho, DEFAULT_TOL, max_iter, ref_state)
+            ref = _reference_aa_admm(m.a, step_rho, DEFAULT_TOL, max_iter, ref_state)
             assert _same_bytes(sol.x_hat.a, ref["x_hat"])
             assert sol.iterations == ref["iterations"]
             assert sol.primal_residual == ref["primal_residual"]
@@ -307,6 +446,71 @@ class TestBitIdentity:
             assert sol._state[2] == ref["state"][2]
             _assert_weak_duality(sol)
             prev, ref_state = sol, ref["state"]
+
+
+class TestPlainLoopOracle:
+    """The accelerated solver reaches the plain ADMM loop's outcomes."""
+
+    @pytest.mark.parametrize("rho", _BIT_RHOS)
+    @pytest.mark.parametrize("d", _BIT_DS)
+    def test_same_outcome_as_plain_loop(self, d, rho):
+        m = _bit_identity_input(d, rho)
+        prev = plain_state = None
+        # a cold solve, then one warm-started from it at the next penalty
+        for step_rho in (rho, rho + 0.05):
+            sol = solve_sdp(m, step_rho, warm_start=prev)
+            plain = _reference_admm(
+                m.a, step_rho, DEFAULT_TOL, DEFAULT_MAX_ITER, plain_state
+            )
+            assert sol.converged and plain["converged"]
+            assert sol.support == support_of(SymMatrix(plain["x_hat"]))
+            scale = max(1.0, abs(plain["objective"]))
+            assert abs(sol.objective - plain["objective"]) <= 2 * DEFAULT_TOL * scale
+            prev, plain_state = sol, plain["state"]
+
+    # draws k of a sweep (d, rho) ~ default_rng(77) on which the plain loop
+    # stops its cold solve at max_iter with rn of 1.0-1.6e-7, just above tol
+    @pytest.mark.parametrize("k", [61, 62, 72])
+    def test_converges_where_the_plain_loop_stalls(self, k):
+        rng = np.random.default_rng(77)
+        draws = [(int(rng.integers(2, 41)), float(rng.uniform(0, 0.8)))
+                 for _ in range(k + 1)]
+        d, rho = draws[k]
+        make = _planted if k % 2 == 0 else _random_sym
+        m = make(np.random.default_rng([77, k]), d)
+        prev = None
+        for step_rho in (rho, rho + 0.05):
+            sol = solve_sdp(m, step_rho, warm_start=prev)
+            assert sol.converged
+            _assert_weak_duality(sol)
+            assert sol.gap <= DEFAULT_TOL * max(1.0, abs(sol.objective))
+            kkt = kkt_report(m, step_rho, sol.x_hat, sol.z_dual)
+            assert kkt.stationarity_residual <= 1e-5
+            prev = sol
+
+    # repetitions of acceptance test 07 (seed 2027, d=50, s=10) with a
+    # warm-started grid point where s drifts by a nearly constant step, so
+    # the g differences are rounding noise; the plain loop ends each point
+    # in under 500 iterations, and an Anderson step whose ridge does not
+    # scale with |g| ran them to max_iter
+    @pytest.mark.parametrize(
+        "gap, b, lo, hi, rep",
+        [(10.0, 2, 8.0, 10.0, 34), (1.0, 2, 4.0, 6.0, 47)],
+        ids=["gap10-rep34", "gap1-rep47"],
+    )
+    def test_tuning_path_converges(self, gap, b, lo, hi, rep):
+        rng = np.random.default_rng(np.random.SeedSequence((2027, b, rep, 0)))
+        support = np.sort(rng.choice(50, size=10, replace=False))
+        g = random_graph_bucketed(
+            50, 1250, support, lo, hi, DEFAULT_MAX_TRIES, _child_seed(2027, b, rep, 1)
+        )
+        inst = gen_instance(
+            50, 10, gap, 0.0, g, _child_seed(2027, b, rep, 2), support=support
+        )
+        grid = tuple(round(0.1 * k, 6) for k in range(1, 11))
+        trace = tune_rho(inst.m, grid, 0.5, tol=_EXPERIMENT_TOL)
+        assert all(trace.converged)
+        assert max(trace.iterations) <= 2000
 
 
 _side = st.integers(1, 10)
