@@ -14,8 +14,10 @@ alone.  The batteries are:
   (``spcarec experiment`` at d=20, s=4, gap 8, sigma 0, budget 200,
   bucket 0:2, one repetition each), with the experiment seeds read from
   ``perfbench/reference.json``.  It also counts how many CSVs equal the
-  recorded reference bytes, and how many of the rho > 0 grid points the
-  rank-one path witness certified without an ADMM solve.
+  recorded reference bytes, how many of the rho > 0 grid points the
+  rank-one path witness certified without an ADMM solve, and how many of
+  the remaining points' ADMM fallbacks started from the declined witness
+  rather than from the previous grid point.
 * ``acceptance-02``: the 120 cold solves of
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
@@ -64,11 +66,13 @@ class _Recorder:
     """Wraps ``sdp._admm``, through which every solver path runs, and keeps
     (iterations, converged, relative gap) for each solve.  Also wraps
     ``sdp._path_witness`` where ``tune_rho`` calls it and counts the
-    rho > 0 grid points it was tried on and certified."""
+    rho > 0 grid points it was tried on, those it certified, and those it
+    declined after building a candidate, which the ADMM fallback then
+    starts from."""
 
     def __init__(self):
         self.solves = []
-        self.tried = self.certified = 0
+        self.tried = self.certified = self.declined = 0
         self._admm = sdp._admm
         self._witness = spca._path_witness
 
@@ -82,7 +86,9 @@ class _Recorder:
         def witness(*args, **kwargs):
             sol = self._witness(*args, **kwargs)
             self.tried += 1
-            self.certified += sol is not None
+            if sol is not None:
+                self.certified += sol.converged
+                self.declined += not sol.converged
             return sol
 
         sdp._admm = admm
@@ -127,9 +133,11 @@ def mc_easy() -> tuple[str, bool]:
                     raise SystemExit(f"experiment failed for seed {member['seed']}")
             with open(out, newline="") as fh:
                 same += fh.read() == member["csv"]
+    fallbacks = rec.tried - rec.certified
     extra = (
         f", CSV equal to reference {same}/{len(pool)}, "
-        f"witness certified {rec.certified}/{rec.tried} rho > 0 points"
+        f"witness certified {rec.certified}/{rec.tried} rho > 0 points, "
+        f"fallbacks started from a declined witness {rec.declined}/{fallbacks}"
     )
     line, converged = _summary("mc-easy", rec.solves, extra)
     return line, converged and same == len(pool)

@@ -26,7 +26,6 @@ from .numerics import (
     _check_max_iter,
     _check_nonnegative_finite,
     _check_positive_finite,
-    _eigh_descending,
     _project_spectrahedron_arr,
     _soft_threshold_arr,
     eigh,
@@ -401,59 +400,64 @@ def _restricted_witness(
     idx: np.ndarray,
     comp: np.ndarray,
     z: np.ndarray,
-    tail: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]:
+    z_full: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
     """The primal-dual witness on support `idx` with sign pattern z.
 
-    Returns the eigenvalues (descending) of b = M_JJ - rho z z^T, its top
-    eigenvector v oriented along z, whether sign(v) == z, the off-support
-    dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
-    (M - rho Z)_{Jc,J} v = 0, and the full dual Z: z z^T on J x J, w z^T
-    and its transpose across, and `tail` on Jc x Jc.
+    Returns the eigenvalues (ascending) of b = M_JJ - rho z z^T, its top
+    eigenvector v oriented along z, whether sign(v) == z, and the
+    off-support dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
+    (M - rho Z)_{Jc,J} v = 0.  It completes the dual z_full, whose
+    Jc x Jc block the caller has filled, in place: z z^T on J x J, and
+    w z^T and its transpose across.
     """
-    b = m[np.ix_(idx, idx)] - rho * np.outer(z, z)
-    bvals, bvecs = _eigh_descending(b)
-    v = bvecs[:, 0]
+    b = m[idx[:, None], idx] - rho * np.outer(z, z)
+    bvals, bvecs = np.linalg.eigh(b)
+    # a column view, not a copy: M_{Jc,J} v rounds differently on a
+    # contiguous v
+    v = bvecs[:, -1]
     if float(z @ v) < 0:
         v = -v
     sign_ok = bool(np.all(np.sign(v) == z))
-    w = (m[np.ix_(comp, idx)] @ v) / (rho * float(np.abs(v).sum()))
-    zw = np.outer(w, z)
-    z_full = np.empty_like(m)
-    z_full[np.ix_(idx, idx)] = np.outer(z, z)
-    z_full[np.ix_(comp, idx)] = zw
-    z_full[np.ix_(idx, comp)] = zw.T
-    z_full[np.ix_(comp, comp)] = tail
-    return bvals, v, sign_ok, w, z_full
+    w = (m[comp[:, None], idx] @ v) / (rho * float(np.abs(v).sum()))
+    # the rows and columns of J: z on J and w on Jc, times z
+    r = np.empty(m.shape[0])
+    r[idx] = z
+    r[comp] = w
+    z_full[idx] = np.outer(z, r)
+    z_full[:, idx] = np.outer(r, z)
+    return bvals, v, sign_ok, w
 
 
 def _path_witness(
     m: np.ndarray, rho: float, prev: SdpSolution, tol: float
 ) -> SdpSolution | None:
-    """A certified rank-one solution at rho built on prev's support, or None.
+    """The rank-one witness at rho built on prev's support, or None.
 
     Takes J = prev.support and the sign pattern z of the top eigenvector
     of prev.x_hat on J x J, and forms the witness X = v v^T and the dual Z
     of _restricted_witness with clip(M / rho, -1, 1) on Jc x Jc, so
-    |Z|_max <= 1 whenever |w|_max <= 1.  X is returned only when its gap
-    passes _certificate; its warm-start state is the ADMM fixed point
-    (X, rho Z / beta, beta).  Requires rho > 0.
+    |Z|_max <= 1 whenever |w|_max <= 1.  It returns None only when z has a
+    zero entry.  Otherwise the returned candidate is converged exactly
+    when sign(v) == z, |w|_max <= 1 and its gap passes _certificate; a
+    candidate declined before the gap reports objective nan and gap inf.
+    Either way its warm-start state is (X, rho Z / beta, beta) with beta
+    from prev, the ADMM fixed point when the witness is certified.
+    Requires rho > 0.
     """
-    idx, comp = _support_arrays(m.shape[0], prev.support)
-    _, vecs = np.linalg.eigh(prev.x_hat.a[np.ix_(idx, idx)])
-    z = np.sign(vecs[:, -1])
+    on = np.zeros(m.shape[0], dtype=bool)
+    on[list(prev.support)] = True
+    idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
+    z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
     if not np.all(z):
         return None
-    tail = np.clip(m[np.ix_(comp, comp)] / rho, -1.0, 1.0)
-    _, v, sign_ok, w, z_full = _restricted_witness(m, rho, idx, comp, z, tail)
-    if not sign_ok or float(np.abs(w).max(initial=0.0)) > 1.0:
-        return None
-
+    z_full = np.clip(m / rho, -1.0, 1.0)
+    _, v, sign_ok, w = _restricted_witness(m, rho, idx, comp, z, z_full)
     x = np.zeros_like(m)
-    x[np.ix_(idx, idx)] = np.outer(v, v)
-    objective, gap, certified = _certificate(m, rho, x, z_full, tol)
-    if not certified:
-        return None
+    x[idx[:, None], idx] = np.outer(v, v)
+    objective, gap, certified = math.nan, math.inf, False
+    if sign_ok and float(np.abs(w).max(initial=0.0)) <= 1.0:
+        objective, gap, certified = _certificate(m, rho, x, z_full, tol)
 
     beta = prev._state[2]
     x_hat = SymMatrix(x)
@@ -465,7 +469,7 @@ def _path_witness(
         dual_residual=0.0,
         gap=gap,
         support=support_of(x_hat),
-        converged=True,
+        converged=certified,
         z_dual=z_full,
         _state=(x, rho * z_full / beta, beta),
     )
@@ -498,11 +502,11 @@ def witness_certificate(
     s = idx.size
 
     z = np.sign(u1[idx])
-    cc = np.ix_(comp, comp)
-    tail = (m.a[cc] - g.mask[cc] * m_star.a[cc]) / rho
-    bvals, _, cond_sign, w, z_full = _restricted_witness(m.a, rho, idx, comp, z, tail)
-    lam1_restricted = float(bvals[0])
-    eigengap = float(bvals[0] - bvals[1]) if s >= 2 else math.inf
+    z_full = (m.a - g.mask * m_star.a) / rho
+    tail = z_full[comp[:, None], comp]
+    bvals, _, cond_sign, w = _restricted_witness(m.a, rho, idx, comp, z, z_full)
+    lam1_restricted = float(bvals[-1])
+    eigengap = float(bvals[-1] - bvals[-2]) if s >= 2 else math.inf
     cond_gap = eigengap > _STRICT_MARGIN
 
     offblock_max = float(np.abs(w).max(initial=0.0))

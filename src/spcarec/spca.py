@@ -135,9 +135,11 @@ def tune_rho(
     primal-dual witness on the previous grid point's support and sign
     pattern is tried first, and kept only when its duality gap on the full
     problem is certified <= tol * max(1, |objective|); such a point reports
-    0 iterations.  Otherwise ADMM runs, warm-started from the previous grid
-    point, which does not change the converged solutions but cuts the
-    iteration count considerably.
+    0 iterations.  Otherwise ADMM runs, warm-started from the declined
+    witness (X = v v^T and its dual), or from the previous grid point when
+    the sign pattern had a zero entry and no witness was built.  The warm
+    start does not change the converged solutions but cuts the iteration
+    count considerably.
     """
     m = SymMatrix(m)
     if not 0.0 < a < 1.0:
@@ -154,12 +156,13 @@ def tune_rho(
     diagnostics = []
     prev = base_sol
     for rho in grid:
-        sol = (
-            base_sol
-            if rho == 0.0
-            else _path_witness(m.a, rho, prev, tol)
-            or solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=prev)
-        )
+        if rho == 0.0:
+            sol = base_sol
+        else:
+            sol = _path_witness(m.a, rho, prev, tol)
+            if sol is None or not sol.converged:
+                start = prev if sol is None else sol
+                sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=start)
         prev = sol
         diagnostics.append((sol.converged, sol.iterations, sol.gap))
         expl = _explained(m.a, sol.x_hat.a)

@@ -15,11 +15,19 @@ from spcarec.harness import (
     _child_seed,
     gen_instance,
 )
-from spcarec.numerics import SymMatrix, eigh, project_simplex, project_spectrahedron
+from spcarec.numerics import (
+    SymMatrix,
+    _eigh_descending,
+    eigh,
+    project_simplex,
+    project_spectrahedron,
+)
 from spcarec.spca import tune_rho
 from spcarec.sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _certificate,
+    _checked_decomposition,
     _path_witness,
     _restricted_witness,
     _support_arrays,
@@ -32,9 +40,9 @@ from spcarec.sdp import (
 
 
 # Reference implementations: the straightforward forms of the projections,
-# of the plain ADMM loop, kept as an oracle for the solver's outcomes, and
-# of the Anderson-accelerated loop, kept to pin the solver's iterates bit
-# for bit.
+# of the plain ADMM loop, kept as an oracle for the solver's outcomes, of
+# the Anderson-accelerated loop, kept to pin the solver's iterates bit for
+# bit, and of the rank-one witnesses, kept to pin their outputs bit for bit.
 
 
 def _reference_project_simplex(v):
@@ -222,6 +230,70 @@ def _reference_aa_admm(m, rho, tol, max_iter, state=None, counts=None):
         "converged": converged,
         "z_dual": z,
         "state": (y, u, beta),
+    }
+
+
+def _reference_restricted_witness(m, rho, idx, comp, z, tail):
+    """The block-dual builder as first written: np.ix_ blocks, the
+    eigenvalues descending, and Z assembled from four block writes."""
+    b = m[np.ix_(idx, idx)] - rho * np.outer(z, z)
+    bvals, bvecs = _eigh_descending(b)
+    v = bvecs[:, 0]
+    if float(z @ v) < 0:
+        v = -v
+    sign_ok = bool(np.all(np.sign(v) == z))
+    w = (m[np.ix_(comp, idx)] @ v) / (rho * float(np.abs(v).sum()))
+    zw = np.outer(w, z)
+    z_full = np.empty_like(m)
+    z_full[np.ix_(idx, idx)] = np.outer(z, z)
+    z_full[np.ix_(comp, idx)] = zw
+    z_full[np.ix_(idx, comp)] = zw.T
+    z_full[np.ix_(comp, comp)] = tail
+    return bvals, v, sign_ok, w, z_full
+
+
+def _reference_path_witness(m, rho, prev, tol):
+    """The path witness as first written, which kept only a certified
+    witness.  Returns why it stopped ("zero", "sign", "offblock", "gap" or
+    "accepted") and, once X and Z are built, (X, Z, objective, gap), with
+    objective nan and gap inf where the gap was not evaluated."""
+    idx, comp = _support_arrays(m.shape[0], prev.support)
+    _, vecs = np.linalg.eigh(prev.x_hat.a[np.ix_(idx, idx)])
+    z = np.sign(vecs[:, -1])
+    if not np.all(z):
+        return "zero", None
+    tail = np.clip(m[np.ix_(comp, comp)] / rho, -1.0, 1.0)
+    _, v, sign_ok, w, z_full = _reference_restricted_witness(m, rho, idx, comp, z, tail)
+    x = np.zeros_like(m)
+    x[np.ix_(idx, idx)] = np.outer(v, v)
+    if not sign_ok:
+        return "sign", (x, z_full, math.nan, math.inf)
+    if float(np.abs(w).max(initial=0.0)) > 1.0:
+        return "offblock", (x, z_full, math.nan, math.inf)
+    objective, gap, certified = _certificate(m, rho, x, z_full, tol)
+    return ("accepted" if certified else "gap"), (x, z_full, objective, gap)
+
+
+def _reference_witness_numbers(m_star, g, m, rho, support):
+    """The numbers witness_certificate reads off the reference builder; its
+    conditions are comparisons of these."""
+    dec, idx, comp = _checked_decomposition(m_star, support)
+    z = np.sign(dec.vectors[idx, 0])
+    cc = np.ix_(comp, comp)
+    tail = (m.a[cc] - g.mask[cc] * m_star.a[cc]) / rho
+    bvals, _, cond_sign, w, z_full = _reference_restricted_witness(
+        m.a, rho, idx, comp, z, tail
+    )
+    lam1_full = float(bvals[0])
+    if comp.size:
+        lam1_full = float(np.linalg.eigvalsh(m.a - rho * z_full)[-1])
+    return {
+        "cond_sign": cond_sign,
+        "offblock_max": float(np.abs(w).max(initial=0.0)),
+        "lambda1_restricted": float(bvals[0]),
+        "lambda1_full": lam1_full,
+        "tailblock_max": float(np.abs(tail).max(initial=0.0)),
+        "eigengap": float(bvals[0] - bvals[1]) if idx.size >= 2 else math.inf,
     }
 
 
@@ -814,7 +886,7 @@ class TestPathWitness:
         m = _planted(rng, d) if planted else _random_sym(rng, d)
         rho = rho0 + step
         sol = _path_witness(m.a, rho, solve_sdp(m, rho0), tol)
-        if sol is None:
+        if sol is None or not sol.converged:
             return
         x, z = sol.x_hat.a, sol.z_dual
         assert np.linalg.eigvalsh(x)[0] >= -1e-12
@@ -833,7 +905,7 @@ class TestPathWitness:
     def test_state_is_an_admm_fixed_point(self, d):
         m = _planted(np.random.default_rng([d, 9]), d)
         sol = _path_witness(m.a, 0.25, solve_sdp(m, 0.2), DEFAULT_TOL)
-        assert sol is not None
+        assert sol.converged
         nxt = solve_sdp(m, 0.25, warm_start=sol, max_iter=1)
         assert nxt.converged
         assert np.abs(nxt.x_hat.a - sol.x_hat.a).max() <= 1e-12
@@ -845,7 +917,7 @@ class TestPathWitness:
         prev = solve_sdp(m, 0.0)
         assert prev.support == frozenset({0})
         sol = _path_witness(m.a, 0.5, prev, DEFAULT_TOL)
-        assert sol is not None
+        assert sol.converged
         assert sol.objective == 1.5 and abs(sol.gap) <= 1e-15
         assert np.array_equal(sol.x_hat.a, np.diag([1.0, 0.0]))
         assert np.array_equal(sol.z_dual, np.eye(2))
@@ -857,9 +929,10 @@ class TestPathWitness:
         m = SymMatrix(np.diag([1.0, 1.0 + 1e-5]))
         prev = solve_sdp(SymMatrix(np.diag([1.0, 0.0])), 0.0)
         assert prev.support == frozenset({0})
-        assert _path_witness(m.a, 0.5, prev, DEFAULT_TOL) is None
+        declined = _path_witness(m.a, 0.5, prev, DEFAULT_TOL)
+        assert not declined.converged and declined.gap == pytest.approx(1e-5)
         sol = _path_witness(m.a, 0.5, prev, 1e-4)
-        assert sol is not None and sol.gap == pytest.approx(1e-5)
+        assert sol.converged and sol.gap == declined.gap
 
     def test_sign_flip_declines(self):
         # at rho = 0 the weak third coordinate is in the support with the
@@ -870,11 +943,12 @@ class TestPathWitness:
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0, 1, 2})
         z = np.ones(3)
-        _, _, sign_ok, _, _ = _restricted_witness(
-            m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((0, 0))
+        _, _, sign_ok, _ = _restricted_witness(
+            m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((3, 3))
         )
         assert not sign_ok
-        assert _path_witness(m.a, 0.1, base, DEFAULT_TOL) is None
+        declined = _path_witness(m.a, 0.1, base, DEFAULT_TOL)
+        assert not declined.converged and declined.gap == math.inf
         trace = tune_rho(m, (0.1,), 0.5)
         assert trace.iterations[0] >= 1 and trace.converged[0]
 
@@ -885,11 +959,12 @@ class TestPathWitness:
         m = SymMatrix([[1.0, delta], [delta, 0.0]])
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0})
-        _, _, sign_ok, w, _ = _restricted_witness(
-            m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((1, 1))
+        _, _, sign_ok, w = _restricted_witness(
+            m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((2, 2))
         )
         assert sign_ok and w[0] == pytest.approx(delta / rho)
-        assert _path_witness(m.a, rho, base, DEFAULT_TOL) is None
+        declined = _path_witness(m.a, rho, base, DEFAULT_TOL)
+        assert not declined.converged and declined.gap == math.inf
         trace = tune_rho(m, (rho,), 0.5)
         assert trace.iterations[0] >= 1 and trace.converged[0]
 
@@ -903,10 +978,106 @@ class TestPathWitness:
             diag[keep] = 1.0
             prev = solve_sdp(SymMatrix(np.diag(diag)), 0.0)
             assert prev.support == frozenset({keep})
-            assert _path_witness(m.a, rho, prev, DEFAULT_TOL) is None
+            assert not _path_witness(m.a, rho, prev, DEFAULT_TOL).converged
         trace = tune_rho(m, (rho,), 0.5)
         assert trace.supports == (frozenset({0, 1}),)
         assert trace.converged == (True,)
+
+
+    def test_zero_sign_entry_builds_no_witness(self):
+        # X = I / 2 on J = {0, 1}: its top eigenvector (0, 1) gives no sign
+        # pattern, so no witness is built and ADMM starts from prev
+        m = SymMatrix(np.eye(2))
+        prev = solve_sdp(m, 0.0)
+        assert np.array_equal(prev.x_hat.a, np.eye(2) / 2)
+        assert _path_witness(m.a, 0.1, prev, DEFAULT_TOL) is None
+
+
+def _witness_battery():
+    """(m, rho, prev, tol) cases on which the path witness accepts and
+    declines for each of its reasons: warm chains on random and planted
+    matrices, each point started from the previous one, and the hand
+    cases of TestPathWitness."""
+    for d in (2, 5, 13, 20):
+        for seed in range(6):
+            rng = np.random.default_rng([d, seed])
+            m = _planted(rng, d) if seed % 2 else _random_sym(rng, d)
+            prev = solve_sdp(m, 0.0)
+            for rho in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
+                yield m, rho, prev, DEFAULT_TOL
+                prev = solve_sdp(m, rho, warm_start=prev)
+    yield (
+        SymMatrix(np.diag([1.0, 1.0 + 1e-5])),
+        0.5,
+        solve_sdp(SymMatrix(np.diag([1.0, 0.0])), 0.0),
+        DEFAULT_TOL,
+    )
+    m = SymMatrix([[1.0, 1.0, 0.05], [1.0, 1.0, 0.05], [0.05, 0.05, 0.0]])
+    yield m, 0.1, solve_sdp(m, 0.0), DEFAULT_TOL
+    m = SymMatrix([[1.0, 0.005], [0.005, 0.0]])
+    yield m, 0.001, solve_sdp(m, 0.0), DEFAULT_TOL
+    yield SymMatrix(np.eye(2)), 0.1, solve_sdp(SymMatrix(np.eye(2)), 0.0), DEFAULT_TOL
+
+
+class TestWitnessBitIdentity:
+    """The path witness and witness_certificate reproduce the reference
+    builder byte for byte; a declined path witness carries the candidate
+    the reference builds."""
+
+    def test_path_witness_matches_reference(self):
+        reasons = set()
+        for m, rho, prev, tol in _witness_battery():
+            why, built = _reference_path_witness(m.a, rho, prev, tol)
+            reasons.add(why)
+            sol = _path_witness(m.a, rho, prev, tol)
+            if why == "zero":
+                assert sol is None
+                continue
+            x, z_full, objective, gap = built
+            assert sol.converged == (why == "accepted")
+            assert _same_bytes(sol.x_hat.a, x)
+            assert _same_bytes(sol.z_dual, z_full)
+            # repr, so that nan equals nan
+            assert repr(sol.objective) == repr(objective)
+            assert repr(sol.gap) == repr(gap)
+            assert sol.support == support_of(SymMatrix(x))
+            assert (sol.iterations, sol.primal_residual, sol.dual_residual) == (0, 0, 0)
+            beta = prev._state[2]
+            assert _same_bytes(sol._state[0], x)
+            assert _same_bytes(sol._state[1], rho * z_full / beta)
+            assert sol._state[2] == beta
+        assert reasons == {"zero", "sign", "offblock", "gap", "accepted"}
+
+    def test_witness_certificate_matches_reference(self):
+        rng = np.random.default_rng(31)
+        reports, sizes = [], set()
+        while len(reports) < 60:
+            d = int(rng.integers(2, 11))
+            s = int(rng.integers(1, d + 1))
+            idx = np.sort(rng.choice(d, s, replace=False))
+            u = np.zeros(d)
+            u[idx] = rng.choice([-1.0, 1.0], s) / np.sqrt(s)
+            rest = 0.3 * rng.standard_normal(d - 1)
+            q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((d, d - 1))]))
+            q[:, 0] = u
+            top = np.max(rest, initial=0.0) + float(rng.uniform(0.5, 6.0))
+            m_star = SymMatrix((q * np.concatenate([[top], np.sort(rest)[::-1]])) @ q.T)
+            g = random_graph(d, int(0.8 * d * d), int(rng.integers(1e9)))
+            noise = 0.05 * rng.standard_normal((d, d))
+            m = SymMatrix(adjacency_mask(g) * m_star.a + noise)
+            rho = float(rng.uniform(0.05, 0.8))
+            try:
+                rep = witness_certificate(m_star, g, m, rho, idx)
+            except ValueError:
+                continue
+            reports.append(rep)
+            sizes.add(s if s < d else "all")
+            for name, want in _reference_witness_numbers(m_star, g, m, rho, idx).items():
+                assert repr(getattr(rep, name)) == repr(want), name
+        # both outcomes, one-coordinate supports (no eigengap) and full
+        # supports (no off-support blocks)
+        assert {rep.certified for rep in reports} == {True, False}
+        assert {1, "all"} <= sizes
 
 
 class TestCertificateSoundness:

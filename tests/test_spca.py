@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spcarec import spca
 from spcarec.errors import DegenerateBaseline, Disconnected
@@ -14,10 +16,18 @@ from spcarec.graph import (
     degrees,
     induced_subgraph,
     random_graph,
+    random_graph_bucketed,
+)
+from spcarec.harness import (
+    _EXPERIMENT_TOL,
+    DEFAULT_MAX_TRIES,
+    _child_seed,
+    gen_instance,
 )
 from spcarec.numerics import SymMatrix, spectral_norm
 from spcarec.sdp import DEFAULT_TOL, _path_witness, kkt_report, solve_sdp
 from spcarec.spca import (
+    DEFAULT_RHO_GRID,
     criterion,
     recover_support,
     rescaled_parameter,
@@ -129,7 +139,7 @@ class TestTuneRho:
 
         def record(m, rho, prev, tol):
             sol = _path_witness(m, rho, prev, tol)
-            if sol is not None:
+            if sol is not None and sol.converged:
                 witnesses[rho] = sol
             return sol
 
@@ -159,6 +169,29 @@ class TestTuneRho:
         assert trace.grid[0] == 0.0
         assert (trace.iterations[0], trace.gaps[0]) == (base.iterations, base.gap)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        grid=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+    )
+    def test_certified_point_has_cold_support(self, d, seed, planted, grid):
+        # a grid point the witness certified carries the support of a
+        # cold solve at the same rho
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d))
+        m = SymMatrix(a + a.T)
+        if planted:
+            k = max(1, d // 4)
+            u = np.zeros(d)
+            u[rng.choice(d, k, replace=False)] = 1.0
+            m = SymMatrix(0.1 * m.a + 4.0 * np.outer(u, u) / k)
+        trace = tune_rho(m, grid, 0.5)
+        for rho, k, support in zip(trace.grid, trace.iterations, trace.supports):
+            if k == 0:
+                assert support == solve_sdp(m, rho).support
+
     def test_tiny_max_iter_records_nonconvergence(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((6, 6))
@@ -167,6 +200,77 @@ class TestTuneRho:
         assert trace.converged == (False, False, False)
         assert trace.iterations == (3, 3, 3)
         assert len(trace.gaps) == 3 and all(g >= -1e-10 for g in trace.gaps)
+
+
+def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
+    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
+    built the way the experiment harness builds it."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
+    support = np.sort(rng.choice(d, size=s, replace=False))
+    g = random_graph_bucketed(
+        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
+    )
+    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
+    return inst.m
+
+
+_TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
+
+
+class TestFallbackWarmStart:
+    """An ADMM fallback starts from the declined witness, and lands on the
+    support that the same solve started from the previous grid point
+    lands on."""
+
+    @staticmethod
+    def _fallbacks(monkeypatch, m, grid):
+        """Run tune_rho and return, for each fallback it started from a
+        declined witness, that solve and the same solve started from the
+        previous grid point."""
+        prevs, witnesses, pairs = {}, {}, []
+
+        def witness(m_a, rho, prev, tol):
+            prevs[rho] = prev
+            witnesses[rho] = _path_witness(m_a, rho, prev, tol)
+            return witnesses[rho]
+
+        def solve(m, rho, warm_start=None, **kwargs):
+            sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
+            if rho > 0:
+                assert warm_start is (witnesses[rho] or prevs[rho])
+                if witnesses[rho] is not None:
+                    ref = solve_sdp(m, rho, warm_start=prevs[rho], **kwargs)
+                    pairs.append((sol, ref))
+            return sol
+
+        monkeypatch.setattr(spca, "_path_witness", witness)
+        monkeypatch.setattr(spca, "solve_sdp", solve)
+        trace = tune_rho(m, grid, 0.5, tol=_EXPERIMENT_TOL)
+        assert all(trace.converged)
+        return pairs
+
+    @pytest.mark.parametrize(
+        "d, s, gap, budget, bucket, seed, b, grid, reps",
+        [
+            # the benchmark's mc-easy repetitions: d=20, s=4, gap 8, bucket 0:2
+            (20, 4, 8.0, 200, (0.0, 2.0), 3, 0, DEFAULT_RHO_GRID, 8),
+            # acceptance test 07 at d=50, s=10: gap 10 and gap 1, top buckets
+            (50, 10, 10.0, 1250, (8.0, 10.0), 2027, 2, _TREND_GRID, 3),
+            (50, 10, 1.0, 1250, (4.0, 6.0), 2027, 2, _TREND_GRID, 3),
+        ],
+        ids=["mc-easy", "test07-gap10", "test07-gap1"],
+    )
+    def test_same_support_as_previous_point_start(
+        self, monkeypatch, d, s, gap, budget, bucket, seed, b, grid, reps
+    ):
+        pairs = []
+        for rep in range(reps):
+            m = _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep)
+            pairs += self._fallbacks(monkeypatch, m, grid)
+        assert len(pairs) >= 10
+        for sol, ref in pairs:
+            assert sol.converged and ref.converged
+            assert sol.support == ref.support
 
 
 class TestTheoreticalRho:
