@@ -15,9 +15,10 @@ alone.  The batteries are:
   bucket 0:2, one repetition each), with the experiment seeds read from
   ``perfbench/reference.json``.  It also counts how many CSVs equal the
   recorded reference bytes, how many of the rho > 0 grid points the
-  rank-one path witness certified without an ADMM solve, and how many of
-  the remaining points' ADMM fallbacks started from the declined witness
-  rather than from the previous grid point.
+  rank-one path witness certified without an ADMM solve, in how many
+  witness windows (stacked evaluations over consecutive grid points), and
+  how many of the remaining points' ADMM fallbacks started from the
+  declined witness rather than from the previous grid point.
 * ``acceptance-02``: the 120 cold solves of
   ``tests/test_acceptance.py::test_02_kkt_residuals_on_converged_solves``
   (d 2-20, rho in {0, 0.05, 0.2, 0.5, 1}, every third one masked).
@@ -65,16 +66,19 @@ from workloads import REFERENCE_SEED, SolveD200  # noqa: E402
 class _Recorder:
     """Wraps ``sdp._admm``, through which every solver path runs, and keeps
     (iterations, converged, relative gap) for each solve.  Also wraps
-    ``sdp._path_witness`` where ``tune_rho`` calls it and counts the
-    rho > 0 grid points it was tried on, those it certified, and those it
-    declined after building a candidate, which the ADMM fallback then
-    starts from."""
+    ``sdp._witness_window`` where ``tune_rho`` calls it, and counts the
+    witness windows, the rho > 0 grid points the witness was tried on,
+    those it certified, and those it declined after building a candidate,
+    which the ADMM fallback then starts from.  A window tries its
+    certified points and the point after them when it declined that point
+    or built no witness there; any later point of the window is tried
+    again by the next window."""
 
     def __init__(self):
         self.solves = []
-        self.tried = self.certified = self.declined = 0
+        self.windows = self.tried = self.certified = self.declined = 0
         self._admm = sdp._admm
-        self._witness = spca._path_witness
+        self._witness = spca._witness_window
 
     def __enter__(self):
         def admm(*args, **kwargs):
@@ -84,20 +88,22 @@ class _Recorder:
             return sol
 
         def witness(*args, **kwargs):
-            sol = self._witness(*args, **kwargs)
-            self.tried += 1
-            if sol is not None:
-                self.certified += sol.converged
-                self.declined += not sol.converged
-            return sol
+            win = self._witness(*args, **kwargs)
+            self.windows += 1
+            self.certified += win.certified
+            self.declined += win.declined is not None
+            self.tried += win.certified + (
+                win.certified == 0 or win.declined is not None
+            )
+            return win
 
         sdp._admm = admm
-        spca._path_witness = witness
+        spca._witness_window = witness
         return self
 
     def __exit__(self, *exc):
         sdp._admm = self._admm
-        spca._path_witness = self._witness
+        spca._witness_window = self._witness
 
 
 def _summary(name: str, solves: list, extra: str = "") -> tuple[str, bool]:
@@ -136,7 +142,8 @@ def mc_easy() -> tuple[str, bool]:
     fallbacks = rec.tried - rec.certified
     extra = (
         f", CSV equal to reference {same}/{len(pool)}, "
-        f"witness certified {rec.certified}/{rec.tried} rho > 0 points, "
+        f"witness certified {rec.certified}/{rec.tried} rho > 0 points "
+        f"in {rec.windows} windows, "
         f"fallbacks started from a declined witness {rec.declined}/{fallbacks}"
     )
     line, converged = _summary("mc-easy", rec.solves, extra)

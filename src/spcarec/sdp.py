@@ -429,38 +429,49 @@ def _restricted_witness(
     return bvals, v, sign_ok, w
 
 
-def _path_witness(
-    m: np.ndarray, rho: float, prev: SdpSolution, tol: float
-) -> SdpSolution | None:
-    """The rank-one witness at rho built on prev's support, or None.
+@dataclass(eq=False)
+class _WitnessWindow:
+    """The path witness on a window of consecutive grid points; see
+    _witness_window.  The stacks hold the p points evaluated, in grid
+    order; the lists hold the leading points that were certified."""
 
-    Takes J = prev.support and the sign pattern z of the top eigenvector
-    of prev.x_hat on J x J, and forms the witness X = v v^T and the dual Z
-    of _restricted_witness with clip(M / rho, -1, 1) on Jc x Jc, so
-    |Z|_max <= 1 whenever |w|_max <= 1.  It returns None only when z has a
-    zero entry.  Otherwise the returned candidate is converged exactly
-    when sign(v) == z, |w|_max <= 1 and its gap passes _certificate; a
-    candidate declined before the gap reports objective nan and gap inf.
-    Either way its warm-start state is (X, rho Z / beta, beta) with beta
-    from prev, the ADMM fixed point when the witness is certified.
-    Requires rho > 0.
-    """
-    on = np.zeros(m.shape[0], dtype=bool)
-    on[list(prev.support)] = True
-    idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
-    z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
-    if not np.all(z):
-        return None
-    z_full = np.clip(m / rho, -1.0, 1.0)
-    _, v, sign_ok, w = _restricted_witness(m, rho, idx, comp, z, z_full)
-    x = np.zeros_like(m)
-    x[idx[:, None], idx] = np.outer(v, v)
-    objective, gap, certified = math.nan, math.inf, False
-    if sign_ok and float(np.abs(w).max(initial=0.0)) <= 1.0:
-        objective, gap, certified = _certificate(m, rho, x, z_full, tol)
+    # X = v v^T and the dual Z of each evaluated point, shape (p, d, d)
+    x: np.ndarray | None
+    z_dual: np.ndarray | None
+    # objective, certified gap and <M, X> of each certified point
+    objectives: list
+    gaps: list
+    explained: list
+    # the last certified point, on which the next grid point builds
+    last: SdpSolution | None
+    # the candidate the point after the certified ones declined, if any
+    declined: SdpSolution | None
+    # the sign pattern of last's top eigenvector on J, when last kept J
+    z_next: np.ndarray | None
 
-    beta = prev._state[2]
-    x_hat = SymMatrix(x)
+    @property
+    def certified(self) -> int:
+        return len(self.gaps)
+
+
+def _rank_one_solution(
+    x: np.ndarray,
+    z_full: np.ndarray,
+    rho: float,
+    beta: float,
+    objective: float,
+    gap: float,
+    certified: bool,
+    support: frozenset,
+) -> SdpSolution:
+    """A witness candidate as a solution with warm-start state
+    (X, rho Z / beta, beta), the ADMM fixed point when it is certified.
+    X = v v^T is exactly symmetric, so it is wrapped without the
+    validation and (A + A^T) / 2 of SymMatrix, which keep its bytes."""
+    x = x.copy()
+    x.setflags(write=False)
+    x_hat = object.__new__(SymMatrix)
+    x_hat.a = x
     return SdpSolution(
         x_hat=x_hat,
         objective=objective,
@@ -468,11 +479,130 @@ def _path_witness(
         primal_residual=0.0,
         dual_residual=0.0,
         gap=gap,
-        support=support_of(x_hat),
+        support=support,
         converged=certified,
         z_dual=z_full,
         _state=(x, rho * z_full / beta, beta),
     )
+
+
+def _witness_window(
+    m: np.ndarray,
+    rhos: tuple[float, ...],
+    prev: SdpSolution,
+    tol: float,
+    z: np.ndarray | None = None,
+) -> _WitnessWindow:
+    """The rank-one witness at rhos[0], rhos[1], ... in turn, each point
+    built on the support J and sign pattern of the point before it.
+
+    The first point takes J = prev.support and z, or, when z is None, the
+    sign pattern of the top eigenvector of prev.x_hat on J x J.  Each
+    point's witness is X = v v^T, with v the top eigenvector of
+    M_JJ - rho z z^T oriented along z, and the dual Z of
+    _restricted_witness with clip(M / rho, -1, 1) on Jc x Jc, so
+    |Z|_max <= 1 whenever |w|_max <= 1.  The point is certified when
+    sign(v) == z, |w|_max <= 1 and its gap passes _certificate.  The next
+    point builds on that X: the walk goes on while X keeps all of J and
+    the sign pattern z' of X's top eigenvector on J is z or -z, and then
+    z' z'^T = z z^T.
+
+    So one eigh of the stack M_JJ - rho_k z z^T serves the window, one
+    eigh of the stack of X's J blocks gives each next sign pattern, and
+    one eigvalsh of the stack M - rho_k Z_k the gaps.  Stacked calls
+    return the bytes of single calls, and w = M_{Jc,J} v is one product
+    per point on v's own memory layout, so every point has the bytes of
+    the witness evaluated on its own.
+
+    The walk stops at the first point that is not certified, which is
+    then `declined`, with objective nan and gap inf when the sign or
+    off-block test failed; or after a certified point whose X drops part
+    of J or whose z' is not +-z; or at the end of the window.  It
+    evaluates no point when z has a zero entry.  Requires every rho > 0.
+    """
+    d = m.shape[0]
+    on = np.zeros(d, dtype=bool)
+    on[list(prev.support)] = True
+    idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
+    if z is None:
+        z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
+    if not np.all(z):
+        return _WitnessWindow(None, None, [], [], [], None, None, None)
+    rho = np.array(rhos)
+    beta = prev._state[2]
+
+    vecs = np.linalg.eigh(m[idx[:, None], idx] - rho[:, None, None] * np.outer(z, z))[1]
+    v_top = vecs[:, :, -1]
+    # sign(v) == z after orienting v along z exactly when sign(v) == +-z
+    signs = np.sign(v_top)
+    sign_ok = np.all(signs == z, axis=1) | np.all(signs == -z, axis=1)
+    x_jj = v_top[:, :, None] * v_top[:, None, :]
+    dg = v_top * v_top
+    in_support = dg > SUPPORT_THRESHOLD * dg.max(axis=1, keepdims=True)
+    keeps_j = np.all(in_support, axis=1)
+    # next sign patterns, for the points before the first that cannot go on
+    goes_on = sign_ok & keeps_j
+    n_next = int(np.argmin(goes_on)) if not goes_on.all() else rho.size
+    z_next = np.sign(np.linalg.eigh(x_jj[:n_next])[1][:, :, -1])
+    goes_on[:n_next] = np.all(z_next == z, axis=1) | np.all(z_next == -z, axis=1)
+
+    m_cj = m[comp[:, None], idx]
+    zs, ws = [], []
+    zi = z
+    for i in range(rho.size):
+        # a column view, not a copy: M_{Jc,J} v rounds differently on a
+        # contiguous v
+        v = v_top[i]
+        if float(zi @ v) < 0:
+            v = -v
+        w = (m_cj @ v) / (rhos[i] * float(np.abs(v).sum()))
+        zs.append(zi)
+        ws.append(w)
+        passed = bool(sign_ok[i]) and float(np.abs(w).max(initial=0.0)) <= 1.0
+        if not (passed and goes_on[i]):
+            break
+        zi = z_next[i]
+    p = len(ws)
+    z_j = np.array(zs)
+    r = np.empty((p, d))
+    r[:, idx] = z_j
+    r[:, comp] = ws
+    z_full = np.clip(m / rho[:p, None, None], -1.0, 1.0)
+    z_full[:, idx] = z_j[:, :, None] * r[:, None, :]
+    z_full[:, :, idx] = r[:, :, None] * z_j[:, None, :]
+    x = np.zeros((p, d, d))
+    x[:, idx[:, None], idx] = x_jj[:p]
+
+    q = p if passed else p - 1
+    tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_full[:q])[:, -1]
+    win = _WitnessWindow(x, z_full, [], [], [], None, None, None)
+    objective, gap = math.nan, math.inf
+    for i in range(q):
+        explained = float((m * x[i]).sum())
+        objective = explained - rhos[i] * float(np.abs(x[i]).sum())
+        gap = float(tops[i]) - objective
+        if gap > tol * max(1.0, abs(objective)):
+            break
+        win.objectives.append(objective)
+        win.gaps.append(gap)
+        win.explained.append(explained)
+        objective, gap = math.nan, math.inf
+
+    def solution(i, objective, gap, certified):
+        support = frozenset(idx[in_support[i]].tolist())
+        return _rank_one_solution(
+            x[i], z_full[i].copy(), rhos[i], beta, objective, gap, certified, support
+        )
+
+    c = win.certified
+    if c:
+        i = c - 1
+        win.last = solution(i, win.objectives[i], win.gaps[i], True)
+        if c == p and i < n_next:
+            win.z_next = z_next[i]
+    if c < p:
+        win.declined = solution(c, objective, gap, False)
+    return win
 
 
 def witness_certificate(

@@ -26,7 +26,7 @@ from .sdp import (
     DEFAULT_TOL,
     SdpSolution,
     _checked_decomposition,
-    _path_witness,
+    _witness_window,
     solve_sdp,
 )
 
@@ -45,6 +45,10 @@ __all__ = [
 
 # step-0.025 grid from 0.025 to 1.0 inclusive
 DEFAULT_RHO_GRID = tuple(round(0.025 * k, 6) for k in range(1, 41))
+# grid points in tune_rho's first witness window, and after a fallback or
+# a support change: the dense rho = 0 support usually shrinks within a
+# few points, and a window beyond the first decline is wasted
+_FIRST_WINDOW = 4
 
 
 def recover_support(
@@ -139,7 +143,10 @@ def tune_rho(
     witness (X = v v^T and its dual), or from the previous grid point when
     the sign pattern had a zero entry and no witness was built.  The warm
     start does not change the converged solutions but cuts the iteration
-    count considerably.
+    count considerably.  The witness is evaluated over windows of
+    consecutive grid points that share the support and sign pattern, with
+    the bytes of one point at a time; a window starts at 4 points and
+    doubles while every point in it is certified and keeps the support.
     """
     m = SymMatrix(m)
     if not 0.0 < a < 1.0:
@@ -151,25 +158,43 @@ def tune_rho(
         raise ValueError("grid values must be nonnegative finite reals")
 
     base_sol, baseline = _baseline(m, tol, max_iter)
-    criteria = []
-    supports = []
-    diagnostics = []
-    prev = base_sol
-    for rho in grid:
-        if rho == 0.0:
-            sol = base_sol
-        else:
-            sol = _path_witness(m.a, rho, prev, tol)
-            if sol is None or not sol.converged:
-                start = prev if sol is None else sol
-                sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter, warm_start=start)
-        prev = sol
-        diagnostics.append((sol.converged, sol.iterations, sol.gap))
-        expl = _explained(m.a, sol.x_hat.a)
-        criteria.append(_criterion_value(expl, baseline, len(sol.support), m.dim, a))
-        supports.append(sol.support)
+    # (converged, iterations, gap, <M, X>, support) of each grid point
+    points = []
 
-    converged, iterations, gaps = zip(*diagnostics)
+    def keep(sol):
+        expl = _explained(m.a, sol.x_hat.a)
+        points.append((sol.converged, sol.iterations, sol.gap, expl, sol.support))
+
+    prev, z, size, k = base_sol, None, _FIRST_WINDOW, 0
+    while k < len(grid):
+        if grid[k] == 0.0:
+            prev, z = base_sol, None
+            keep(base_sol)
+            k += 1
+            continue
+        rhos = grid[k : k + size]
+        win = _witness_window(m.a, rhos, prev, tol, z)
+        c = win.certified
+        for i in range(c):
+            support = prev.support if i < c - 1 else win.last.support
+            points.append((True, 0, win.gaps[i], win.explained[i], support))
+        if c:
+            prev = win.last
+        k += c
+        z = win.z_next
+        size = 2 * size if c == len(rhos) and z is not None else _FIRST_WINDOW
+        if c == 0 or win.declined is not None:
+            start = prev if win.declined is None else win.declined
+            prev = solve_sdp(m, grid[k], tol=tol, max_iter=max_iter, warm_start=start)
+            keep(prev)
+            k += 1
+            z = None
+
+    converged, iterations, gaps, explained, supports = zip(*points)
+    criteria = [
+        _criterion_value(expl, baseline, len(sup), m.dim, a)
+        for expl, sup in zip(explained, supports)
+    ]
     best = 0
     for k in range(1, len(grid)):
         if criteria[k] >= criteria[best]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spcarec import spca
 from spcarec.graph import ObservationGraph, random_graph, random_graph_bucketed
 from spcarec.harness import (
     _EXPERIMENT_TOL,
@@ -22,15 +23,16 @@ from spcarec.numerics import (
     project_simplex,
     project_spectrahedron,
 )
-from spcarec.spca import tune_rho
+from spcarec.spca import DEFAULT_RHO_GRID, tune_rho
 from spcarec.sdp import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    SdpSolution,
     _certificate,
     _checked_decomposition,
-    _path_witness,
     _restricted_witness,
     _support_arrays,
+    _witness_window,
     kkt_report,
     solve_restricted,
     solve_sdp,
@@ -272,6 +274,14 @@ def _reference_path_witness(m, rho, prev, tol):
         return "offblock", (x, z_full, math.nan, math.inf)
     objective, gap, certified = _certificate(m, rho, x, z_full, tol)
     return ("accepted" if certified else "gap"), (x, z_full, objective, gap)
+
+
+def _witness_at(m, rho, prev, tol):
+    """The path witness at one grid point, as a one-point window: the
+    certified solution, else the declined candidate, else None when no
+    witness was built."""
+    win = _witness_window(m, (rho,), prev, tol)
+    return win.last or win.declined
 
 
 def _reference_witness_numbers(m_star, g, m, rho, support):
@@ -571,16 +581,8 @@ class TestPlainLoopOracle:
         ids=["gap10-rep34", "gap1-rep47"],
     )
     def test_tuning_path_converges(self, gap, b, lo, hi, rep):
-        rng = np.random.default_rng(np.random.SeedSequence((2027, b, rep, 0)))
-        support = np.sort(rng.choice(50, size=10, replace=False))
-        g = random_graph_bucketed(
-            50, 1250, support, lo, hi, DEFAULT_MAX_TRIES, _child_seed(2027, b, rep, 1)
-        )
-        inst = gen_instance(
-            50, 10, gap, 0.0, g, _child_seed(2027, b, rep, 2), support=support
-        )
-        grid = tuple(round(0.1 * k, 6) for k in range(1, 11))
-        trace = tune_rho(inst.m, grid, 0.5, tol=_EXPERIMENT_TOL)
+        m = _experiment_matrix(50, 10, gap, 1250, (lo, hi), 2027, b, rep)
+        trace = tune_rho(m, _TREND_GRID, 0.5, tol=_EXPERIMENT_TOL)
         assert all(trace.converged)
         assert max(trace.iterations) <= 2000
 
@@ -885,7 +887,7 @@ class TestPathWitness:
         rng = np.random.default_rng(seed)
         m = _planted(rng, d) if planted else _random_sym(rng, d)
         rho = rho0 + step
-        sol = _path_witness(m.a, rho, solve_sdp(m, rho0), tol)
+        sol = _witness_at(m.a, rho, solve_sdp(m, rho0), tol)
         if sol is None or not sol.converged:
             return
         x, z = sol.x_hat.a, sol.z_dual
@@ -904,7 +906,7 @@ class TestPathWitness:
     @pytest.mark.parametrize("d", [2, 13, 20, 50])
     def test_state_is_an_admm_fixed_point(self, d):
         m = _planted(np.random.default_rng([d, 9]), d)
-        sol = _path_witness(m.a, 0.25, solve_sdp(m, 0.2), DEFAULT_TOL)
+        sol = _witness_at(m.a, 0.25, solve_sdp(m, 0.2), DEFAULT_TOL)
         assert sol.converged
         nxt = solve_sdp(m, 0.25, warm_start=sol, max_iter=1)
         assert nxt.converged
@@ -916,7 +918,7 @@ class TestPathWitness:
         m = SymMatrix(np.diag([2.0, 1.8]))
         prev = solve_sdp(m, 0.0)
         assert prev.support == frozenset({0})
-        sol = _path_witness(m.a, 0.5, prev, DEFAULT_TOL)
+        sol = _witness_at(m.a, 0.5, prev, DEFAULT_TOL)
         assert sol.converged
         assert sol.objective == 1.5 and abs(sol.gap) <= 1e-15
         assert np.array_equal(sol.x_hat.a, np.diag([1.0, 0.0]))
@@ -929,9 +931,9 @@ class TestPathWitness:
         m = SymMatrix(np.diag([1.0, 1.0 + 1e-5]))
         prev = solve_sdp(SymMatrix(np.diag([1.0, 0.0])), 0.0)
         assert prev.support == frozenset({0})
-        declined = _path_witness(m.a, 0.5, prev, DEFAULT_TOL)
+        declined = _witness_at(m.a, 0.5, prev, DEFAULT_TOL)
         assert not declined.converged and declined.gap == pytest.approx(1e-5)
-        sol = _path_witness(m.a, 0.5, prev, 1e-4)
+        sol = _witness_at(m.a, 0.5, prev, 1e-4)
         assert sol.converged and sol.gap == declined.gap
 
     def test_sign_flip_declines(self):
@@ -947,7 +949,7 @@ class TestPathWitness:
             m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((3, 3))
         )
         assert not sign_ok
-        declined = _path_witness(m.a, 0.1, base, DEFAULT_TOL)
+        declined = _witness_at(m.a, 0.1, base, DEFAULT_TOL)
         assert not declined.converged and declined.gap == math.inf
         trace = tune_rho(m, (0.1,), 0.5)
         assert trace.iterations[0] >= 1 and trace.converged[0]
@@ -963,7 +965,7 @@ class TestPathWitness:
             m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((2, 2))
         )
         assert sign_ok and w[0] == pytest.approx(delta / rho)
-        declined = _path_witness(m.a, rho, base, DEFAULT_TOL)
+        declined = _witness_at(m.a, rho, base, DEFAULT_TOL)
         assert not declined.converged and declined.gap == math.inf
         trace = tune_rho(m, (rho,), 0.5)
         assert trace.iterations[0] >= 1 and trace.converged[0]
@@ -978,7 +980,7 @@ class TestPathWitness:
             diag[keep] = 1.0
             prev = solve_sdp(SymMatrix(np.diag(diag)), 0.0)
             assert prev.support == frozenset({keep})
-            assert not _path_witness(m.a, rho, prev, DEFAULT_TOL).converged
+            assert not _witness_at(m.a, rho, prev, DEFAULT_TOL).converged
         trace = tune_rho(m, (rho,), 0.5)
         assert trace.supports == (frozenset({0, 1}),)
         assert trace.converged == (True,)
@@ -990,7 +992,25 @@ class TestPathWitness:
         m = SymMatrix(np.eye(2))
         prev = solve_sdp(m, 0.0)
         assert np.array_equal(prev.x_hat.a, np.eye(2) / 2)
-        assert _path_witness(m.a, 0.1, prev, DEFAULT_TOL) is None
+        assert _witness_at(m.a, 0.1, prev, DEFAULT_TOL) is None
+
+
+# hand cases of TestPathWitness that start from the matrix's own rho = 0
+# solution, each on its one grid point: a sign flip, an off-support block
+# above one, and a sign pattern with a zero entry
+_HAND_CHAINS = (
+    ([[1.0, 1.0, 0.05], [1.0, 1.0, 0.05], [0.05, 0.05, 0.0]], (0.1,)),
+    ([[1.0, 0.005], [0.005, 0.0]], (0.001,)),
+    (np.eye(2), (0.1,)),
+)
+
+
+def _battery_matrices():
+    """The random and planted matrices of the witness battery."""
+    for d in (2, 5, 13, 20):
+        for seed in range(6):
+            rng = np.random.default_rng([d, seed])
+            yield _planted(rng, d) if seed % 2 else _random_sym(rng, d)
 
 
 def _witness_battery():
@@ -998,25 +1018,20 @@ def _witness_battery():
     declines for each of its reasons: warm chains on random and planted
     matrices, each point started from the previous one, and the hand
     cases of TestPathWitness."""
-    for d in (2, 5, 13, 20):
-        for seed in range(6):
-            rng = np.random.default_rng([d, seed])
-            m = _planted(rng, d) if seed % 2 else _random_sym(rng, d)
-            prev = solve_sdp(m, 0.0)
-            for rho in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
-                yield m, rho, prev, DEFAULT_TOL
-                prev = solve_sdp(m, rho, warm_start=prev)
+    for m in _battery_matrices():
+        prev = solve_sdp(m, 0.0)
+        for rho in (0.02, 0.05, 0.1, 0.2, 0.4, 0.8):
+            yield m, rho, prev, DEFAULT_TOL
+            prev = solve_sdp(m, rho, warm_start=prev)
     yield (
         SymMatrix(np.diag([1.0, 1.0 + 1e-5])),
         0.5,
         solve_sdp(SymMatrix(np.diag([1.0, 0.0])), 0.0),
         DEFAULT_TOL,
     )
-    m = SymMatrix([[1.0, 1.0, 0.05], [1.0, 1.0, 0.05], [0.05, 0.05, 0.0]])
-    yield m, 0.1, solve_sdp(m, 0.0), DEFAULT_TOL
-    m = SymMatrix([[1.0, 0.005], [0.005, 0.0]])
-    yield m, 0.001, solve_sdp(m, 0.0), DEFAULT_TOL
-    yield SymMatrix(np.eye(2)), 0.1, solve_sdp(SymMatrix(np.eye(2)), 0.0), DEFAULT_TOL
+    for a, (rho,) in _HAND_CHAINS:
+        m = SymMatrix(a)
+        yield m, rho, solve_sdp(m, 0.0), DEFAULT_TOL
 
 
 class TestWitnessBitIdentity:
@@ -1029,7 +1044,7 @@ class TestWitnessBitIdentity:
         for m, rho, prev, tol in _witness_battery():
             why, built = _reference_path_witness(m.a, rho, prev, tol)
             reasons.add(why)
-            sol = _path_witness(m.a, rho, prev, tol)
+            sol = _witness_at(m.a, rho, prev, tol)
             if why == "zero":
                 assert sol is None
                 continue
@@ -1078,6 +1093,201 @@ class TestWitnessBitIdentity:
         # supports (no off-support blocks)
         assert {rep.certified for rep in reports} == {True, False}
         assert {1, "all"} <= sizes
+
+
+def _point(sol, start):
+    """What the walk comparison reads at a grid point: X, Z, objective,
+    gap, support, converged, iterations, and the warm-start state of its
+    ADMM solve (None for a certified witness)."""
+    state = None if start is None else start._state
+    return (
+        sol.x_hat.a,
+        sol.z_dual,
+        sol.objective,
+        sol.gap,
+        sol.support,
+        sol.converged,
+        sol.iterations,
+        state,
+    )
+
+
+def _reference_tune_points(m, grid, tol):
+    """The rho > 0 points of tune_rho's grid walked one point at a time
+    with the reference witness: a certified witness is kept; otherwise
+    solve_sdp starts from the declined candidate, or from the previous
+    point when no witness was built."""
+    base = solve_sdp(m, 0.0, tol=tol)
+    prev, points = base, []
+    for rho in sorted(grid):
+        if rho == 0.0:
+            prev = base
+            continue
+        why, built = _reference_path_witness(m.a, rho, prev, tol)
+        start = prev
+        if built is not None:
+            x, z_full, objective, gap = built
+            beta = prev._state[2]
+            x_hat = SymMatrix(x)
+            start = SdpSolution(
+                x_hat=x_hat,
+                objective=objective,
+                iterations=0,
+                primal_residual=0.0,
+                dual_residual=0.0,
+                gap=gap,
+                support=support_of(x_hat),
+                converged=why == "accepted",
+                z_dual=z_full,
+                _state=(x, rho * z_full / beta, beta),
+            )
+        if why == "accepted":
+            prev = start
+            points.append(_point(prev, None))
+        else:
+            prev = solve_sdp(m, rho, tol=tol, warm_start=start)
+            points.append(_point(prev, start))
+    return base, points
+
+
+def _walked_points(m, grid, tol):
+    """tune_rho's trace; its rho > 0 points as _point reads them, off its
+    witness windows and its ADMM solves; and its windows as
+    (prev.support, rhos, window)."""
+    points, windows = [], []
+
+    def window(m_a, rhos, prev, tol, z=None):
+        win = _witness_window(m_a, rhos, prev, tol, z)
+        windows.append((prev.support, rhos, win))
+        for i in range(win.certified):
+            support = support_of(SymMatrix(win.x[i]))
+            row = (win.objectives[i], win.gaps[i], support, True, 0, None)
+            points.append((win.x[i], win.z_dual[i]) + row)
+        return win
+
+    def solve(m, rho, warm_start=None, **kwargs):
+        sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
+        if rho > 0:
+            points.append(_point(sol, warm_start))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spca, "_witness_window", window)
+        mp.setattr(spca, "solve_sdp", solve)
+        trace = tune_rho(m, grid, 0.5, tol=tol)
+    return trace, points, windows
+
+
+def _assert_same_walk(m, grid, tol=DEFAULT_TOL):
+    """Asserts that tune_rho's windowed walk gives, at every grid point,
+    the bytes of the one-point-at-a-time walk, and returns its windows."""
+    trace, got, windows = _walked_points(m, grid, tol)
+    base, want = _reference_tune_points(m, grid, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _same_bytes(g[0], w[0]) and _same_bytes(g[1], w[1])
+        # repr, so that nan equals nan
+        assert repr(g[2:4]) == repr(w[2:4])
+        assert g[4:7] == w[4:7]
+        if w[7] is None:
+            assert g[7] is None
+        else:
+            assert _same_bytes(g[7][0], w[7][0]) and _same_bytes(g[7][1], w[7][1])
+            assert g[7][2] == w[7][2]
+    # the trace reports each point the way the reference walk reached it
+    baseline = float((m.a * base.x_hat.a).sum())
+    k = [i for i, rho in enumerate(trace.grid) if rho > 0]
+    assert [trace.supports[i] for i in k] == [w[4] for w in want]
+    assert [trace.converged[i] for i in k] == [w[5] for w in want]
+    assert [trace.iterations[i] for i in k] == [w[6] for w in want]
+    assert [repr(trace.gaps[i]) for i in k] == [repr(w[3]) for w in want]
+    criteria = [
+        0.5 * float((m.a * w[0]).sum()) / baseline + 0.5 * (1.0 - len(w[4]) / m.dim)
+        for w in want
+    ]
+    assert [repr(trace.criteria[i]) for i in k] == [repr(c) for c in criteria]
+    return windows
+
+
+def _window_cases(windows):
+    """The cases of the walk that its windows reached."""
+    cases = set()
+    for support, rhos, win in windows:
+        c = win.certified
+        if len(rhos) > 4:
+            cases.add("longer than 4 points")
+        if c > 1 and c < len(rhos) and win.last.support < support:
+            cases.add("support shrink inside a window")
+        if c == 0 and win.declined is None:
+            cases.add("zero-sign break")
+        if c > 0 and win.declined is not None:
+            cases.add("fallback inside a window")
+    return cases
+
+
+def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
+    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
+    built the way the experiment harness builds it."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
+    support = np.sort(rng.choice(d, size=s, replace=False))
+    g = random_graph_bucketed(
+        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
+    )
+    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
+    return inst.m
+
+
+_TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
+
+
+class TestWindowedWalk:
+    """tune_rho evaluates the path witness over windows of grid points
+    with stacked LAPACK calls; every grid point has the bytes of the walk
+    that tries the reference witness one point at a time."""
+
+    def test_battery_chains(self):
+        cases = set()
+        for m in _battery_matrices():
+            cases |= _window_cases(_assert_same_walk(m, DEFAULT_RHO_GRID))
+        for a, grid in _HAND_CHAINS:
+            cases |= _window_cases(_assert_same_walk(SymMatrix(a), grid))
+        # the battery reaches every way a window ends
+        assert cases == {
+            "longer than 4 points",
+            "support shrink inside a window",
+            "zero-sign break",
+            "fallback inside a window",
+        }
+
+    @pytest.mark.parametrize(
+        "d, s, gap, budget, bucket, seed, b, grid, reps",
+        [
+            # the benchmark's mc-easy repetitions: d=20, s=4, gap 8, bucket 0:2
+            (20, 4, 8.0, 200, (0.0, 2.0), 3, 0, DEFAULT_RHO_GRID, 8),
+            # acceptance test 07 at d=50, s=10: gap 10 and gap 1, top buckets
+            (50, 10, 10.0, 1250, (8.0, 10.0), 2027, 2, _TREND_GRID, 3),
+            (50, 10, 1.0, 1250, (4.0, 6.0), 2027, 2, _TREND_GRID, 3),
+        ],
+        ids=["mc-easy", "test07-gap10", "test07-gap1"],
+    )
+    def test_experiment_chains(self, d, s, gap, budget, bucket, seed, b, grid, reps):
+        for rep in range(reps):
+            m = _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep)
+            _assert_same_walk(m, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        grid=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.001, 1.0)), min_size=1, max_size=40
+        ),
+    )
+    def test_random_chains(self, d, seed, planted, grid):
+        rng = np.random.default_rng(seed)
+        m = _planted(rng, d) if planted else _random_sym(rng, d)
+        _assert_same_walk(m, grid)
 
 
 class TestCertificateSoundness:

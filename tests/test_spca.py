@@ -25,7 +25,7 @@ from spcarec.harness import (
     gen_instance,
 )
 from spcarec.numerics import SymMatrix, spectral_norm
-from spcarec.sdp import DEFAULT_TOL, _path_witness, kkt_report, solve_sdp
+from spcarec.sdp import DEFAULT_TOL, _witness_window, kkt_report, solve_sdp
 from spcarec.spca import (
     DEFAULT_RHO_GRID,
     criterion,
@@ -137,13 +137,14 @@ class TestTuneRho:
     def test_per_point_diagnostics_aligned_with_grid(self, monkeypatch):
         witnesses = {}
 
-        def record(m, rho, prev, tol):
-            sol = _path_witness(m, rho, prev, tol)
-            if sol is not None and sol.converged:
-                witnesses[rho] = sol
-            return sol
+        def record(m, rhos, prev, tol, z=None):
+            win = _witness_window(m, rhos, prev, tol, z)
+            for i in range(win.certified):
+                x_hat = SymMatrix(win.x[i])
+                witnesses[rhos[i]] = (x_hat, win.z_dual[i], win.objectives[i], win.gaps[i])
+            return win
 
-        monkeypatch.setattr(spca, "_path_witness", record)
+        monkeypatch.setattr(spca, "_witness_window", record)
         rng = np.random.default_rng(41)
         a = rng.standard_normal((6, 6))
         m = SymMatrix(a + a.T + 4 * np.eye(6))
@@ -157,10 +158,10 @@ class TestTuneRho:
         zero = [rho for rho, k in zip(trace.grid, trace.iterations) if k == 0]
         assert zero and sorted(witnesses) == zero
         for rho in zero:
-            sol = witnesses[rho]
-            assert trace.gaps[trace.grid.index(rho)] == sol.gap
-            assert sol.gap <= DEFAULT_TOL * max(1.0, abs(sol.objective))
-            kkt = kkt_report(m, rho, sol.x_hat, sol.z_dual)
+            x_hat, z_dual, objective, gap = witnesses[rho]
+            assert trace.gaps[trace.grid.index(rho)] == gap
+            assert gap <= DEFAULT_TOL * max(1.0, abs(objective))
+            kkt = kkt_report(m, rho, x_hat, z_dual)
             assert kkt.stationarity_residual <= 1e-5
         for gap in trace.gaps:
             assert -1e-10 <= gap <= 1e-6
@@ -229,10 +230,15 @@ class TestFallbackWarmStart:
         previous grid point."""
         prevs, witnesses, pairs = {}, {}, []
 
-        def witness(m_a, rho, prev, tol):
-            prevs[rho] = prev
-            witnesses[rho] = _path_witness(m_a, rho, prev, tol)
-            return witnesses[rho]
+        def witness(m_a, rhos, prev, tol, z=None):
+            # the point after the certified ones: the walk's next fallback
+            # when the window declined it or built no witness there
+            win = _witness_window(m_a, rhos, prev, tol, z)
+            c = win.certified
+            if c < len(rhos):
+                prevs[rhos[c]] = win.last if c else prev
+                witnesses[rhos[c]] = win.declined
+            return win
 
         def solve(m, rho, warm_start=None, **kwargs):
             sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
@@ -243,7 +249,7 @@ class TestFallbackWarmStart:
                     pairs.append((sol, ref))
             return sol
 
-        monkeypatch.setattr(spca, "_path_witness", witness)
+        monkeypatch.setattr(spca, "_witness_window", witness)
         monkeypatch.setattr(spca, "solve_sdp", solve)
         trace = tune_rho(m, grid, 0.5, tol=_EXPERIMENT_TOL)
         assert all(trace.converged)
