@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TRIES = 100_000
-# harness solves use a slightly looser tolerance than the library default:
-# on d=20, s=4, gap 8, budget 200 repetitions with the 40-point CLI grid the
-# sweep takes 1.3-1.7x fewer ADMM iterations than at 1e-7, with the same
-# chosen support (40 repetitions, 5 seeds)
-_EXPERIMENT_TOL = 1e-6
 
 PITPROPS_VARIABLES = (
     "topdiam",
@@ -192,13 +187,13 @@ class _Spec:
 
 
 def _sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
-    trace = tune_rho(inst.m, spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
+    trace = tune_rho(inst.m, spec.rho_grid, spec.a)
     return (trace.chosen_support == inst.support,)
 
 
 def _mc_sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
     filled = complete_nuclear(inst.m, inst.graph)
-    trace = tune_rho(filled, spec.rho_grid, spec.a, tol=_EXPERIMENT_TOL)
+    trace = tune_rho(filled, spec.rho_grid, spec.a)
     return (trace.chosen_support == inst.support,)
 
 

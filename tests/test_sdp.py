@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from spcarec import spca
 from spcarec.graph import ObservationGraph, random_graph, random_graph_bucketed
 from spcarec.harness import (
-    _EXPERIMENT_TOL,
     DEFAULT_MAX_TRIES,
     _child_seed,
     gen_instance,
@@ -582,7 +581,7 @@ class TestPlainLoopOracle:
     )
     def test_tuning_path_converges(self, gap, b, lo, hi, rep):
         m = _experiment_matrix(50, 10, gap, 1250, (lo, hi), 2027, b, rep)
-        trace = tune_rho(m, _TREND_GRID, 0.5, tol=_EXPERIMENT_TOL)
+        trace = tune_rho(m, _TREND_GRID, 0.5, tol=DEFAULT_TOL)
         assert all(trace.converged)
         assert max(trace.iterations) <= 2000
 

@@ -19,7 +19,6 @@ from spcarec.graph import (
     random_graph_bucketed,
 )
 from spcarec.harness import (
-    _EXPERIMENT_TOL,
     DEFAULT_MAX_TRIES,
     _child_seed,
     gen_instance,
@@ -251,7 +250,7 @@ class TestFallbackWarmStart:
 
         monkeypatch.setattr(spca, "_witness_window", witness)
         monkeypatch.setattr(spca, "solve_sdp", solve)
-        trace = tune_rho(m, grid, 0.5, tol=_EXPERIMENT_TOL)
+        trace = tune_rho(m, grid, 0.5, tol=DEFAULT_TOL)
         assert all(trace.converged)
         return pairs
 
