@@ -436,54 +436,22 @@ class _WitnessWindow:
     order; the lists hold the leading points that were certified."""
 
     # X = v v^T and the dual Z of each evaluated point, shape (p, d, d)
-    x: np.ndarray | None
-    z_dual: np.ndarray | None
+    x: np.ndarray | None = None
+    z_dual: np.ndarray | None = None
     # objective, certified gap and <M, X> of each certified point
-    objectives: list
-    gaps: list
-    explained: list
+    objectives: list = field(default_factory=list)
+    gaps: list = field(default_factory=list)
+    explained: list = field(default_factory=list)
     # the last certified point, on which the next grid point builds
-    last: SdpSolution | None
+    last: SdpSolution | None = None
     # the candidate the point after the certified ones declined, if any
-    declined: SdpSolution | None
+    declined: SdpSolution | None = None
     # the sign pattern of last's top eigenvector on J, when last kept J
-    z_next: np.ndarray | None
+    z_next: np.ndarray | None = None
 
     @property
     def certified(self) -> int:
         return len(self.gaps)
-
-
-def _rank_one_solution(
-    x: np.ndarray,
-    z_full: np.ndarray,
-    rho: float,
-    beta: float,
-    objective: float,
-    gap: float,
-    certified: bool,
-    support: frozenset,
-) -> SdpSolution:
-    """A witness candidate as a solution with warm-start state
-    (X, rho Z / beta, beta), the ADMM fixed point when it is certified.
-    X = v v^T is exactly symmetric, so it is wrapped without the
-    validation and (A + A^T) / 2 of SymMatrix, which keep its bytes."""
-    x = x.copy()
-    x.setflags(write=False)
-    x_hat = object.__new__(SymMatrix)
-    x_hat.a = x
-    return SdpSolution(
-        x_hat=x_hat,
-        objective=objective,
-        iterations=0,
-        primal_residual=0.0,
-        dual_residual=0.0,
-        gap=gap,
-        support=support,
-        converged=certified,
-        z_dual=z_full,
-        _state=(x, rho * z_full / beta, beta),
-    )
 
 
 def _witness_window(
@@ -518,7 +486,10 @@ def _witness_window(
     then `declined`, with objective nan and gap inf when the sign or
     off-block test failed; or after a certified point whose X drops part
     of J or whose z' is not +-z; or at the end of the window.  It
-    evaluates no point when z has a zero entry.  Requires every rho > 0.
+    evaluates no point when z has a zero entry.  The last certified point
+    and the declined one are returned as solutions whose warm-start state
+    is (X, rho Z / beta, beta) with beta from prev, the ADMM fixed point
+    when the witness is certified.  Requires every rho > 0.
     """
     d = m.shape[0]
     on = np.zeros(d, dtype=bool)
@@ -527,7 +498,7 @@ def _witness_window(
     if z is None:
         z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
     if not np.all(z):
-        return _WitnessWindow(None, None, [], [], [], None, None, None)
+        return _WitnessWindow()
     rho = np.array(rhos)
     beta = prev._state[2]
 
@@ -567,19 +538,19 @@ def _witness_window(
     r = np.empty((p, d))
     r[:, idx] = z_j
     r[:, comp] = ws
-    z_full = np.clip(m / rho[:p, None, None], -1.0, 1.0)
-    z_full[:, idx] = z_j[:, :, None] * r[:, None, :]
-    z_full[:, :, idx] = r[:, :, None] * z_j[:, None, :]
-    x = np.zeros((p, d, d))
-    x[:, idx[:, None], idx] = x_jj[:p]
+    win = _WitnessWindow(
+        x=np.zeros((p, d, d)), z_dual=np.clip(m / rho[:p, None, None], -1.0, 1.0)
+    )
+    win.x[:, idx[:, None], idx] = x_jj[:p]
+    win.z_dual[:, idx] = z_j[:, :, None] * r[:, None, :]
+    win.z_dual[:, :, idx] = r[:, :, None] * z_j[:, None, :]
 
     q = p if passed else p - 1
-    tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_full[:q])[:, -1]
-    win = _WitnessWindow(x, z_full, [], [], [], None, None, None)
+    tops = np.linalg.eigvalsh(m - rho[:q, None, None] * win.z_dual[:q])[:, -1]
     objective, gap = math.nan, math.inf
     for i in range(q):
-        explained = float((m * x[i]).sum())
-        objective = explained - rhos[i] * float(np.abs(x[i]).sum())
+        explained = float((m * win.x[i]).sum())
+        objective = explained - rhos[i] * float(np.abs(win.x[i]).sum())
         gap = float(tops[i]) - objective
         if gap > tol * max(1.0, abs(objective)):
             break
@@ -589,17 +560,31 @@ def _witness_window(
         objective, gap = math.nan, math.inf
 
     def solution(i, objective, gap, certified):
-        support = frozenset(idx[in_support[i]].tolist())
-        return _rank_one_solution(
-            x[i], z_full[i].copy(), rhos[i], beta, objective, gap, certified, support
+        # X = v v^T is exactly symmetric: SymMatrix's validation and
+        # (A + A^T) / 2 would keep its bytes
+        x = win.x[i].copy()
+        x.setflags(write=False)
+        x_hat = object.__new__(SymMatrix)
+        x_hat.a = x
+        z_full = win.z_dual[i].copy()
+        return SdpSolution(
+            x_hat=x_hat,
+            objective=objective,
+            iterations=0,
+            primal_residual=0.0,
+            dual_residual=0.0,
+            gap=gap,
+            support=frozenset(idx[in_support[i]].tolist()),
+            converged=certified,
+            z_dual=z_full,
+            _state=(x, rhos[i] * z_full / beta, beta),
         )
 
     c = win.certified
     if c:
-        i = c - 1
-        win.last = solution(i, win.objectives[i], win.gaps[i], True)
-        if c == p and i < n_next:
-            win.z_next = z_next[i]
+        win.last = solution(c - 1, win.objectives[-1], win.gaps[-1], True)
+        if c == p and c - 1 < n_next:
+            win.z_next = z_next[c - 1]
     if c < p:
         win.declined = solution(c, objective, gap, False)
     return win

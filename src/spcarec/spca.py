@@ -168,7 +168,6 @@ def tune_rho(
     prev, z, size, k = base_sol, None, _FIRST_WINDOW, 0
     while k < len(grid):
         if grid[k] == 0.0:
-            prev, z = base_sol, None
             keep(base_sol)
             k += 1
             continue

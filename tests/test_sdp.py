@@ -529,6 +529,21 @@ class TestBitIdentity:
             prev, ref_state = sol, ref["state"]
 
 
+def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
+    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
+    built the way the experiment harness builds it."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
+    support = np.sort(rng.choice(d, size=s, replace=False))
+    g = random_graph_bucketed(
+        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
+    )
+    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
+    return inst.m
+
+
+_TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
+
+
 class TestPlainLoopOracle:
     """The accelerated solver reaches the plain ADMM loop's outcomes."""
 
@@ -1222,21 +1237,6 @@ def _window_cases(windows):
         if c > 0 and win.declined is not None:
             cases.add("fallback inside a window")
     return cases
-
-
-def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
-    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
-    built the way the experiment harness builds it."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
-    support = np.sort(rng.choice(d, size=s, replace=False))
-    g = random_graph_bucketed(
-        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
-    )
-    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
-    return inst.m
-
-
-_TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
 
 
 class TestWindowedWalk:
