@@ -394,41 +394,6 @@ def _checked_decomposition(
     return dec, idx, comp
 
 
-def _restricted_witness(
-    m: np.ndarray,
-    rho: float,
-    idx: np.ndarray,
-    comp: np.ndarray,
-    z: np.ndarray,
-    z_full: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-    """The primal-dual witness on support `idx` with sign pattern z.
-
-    Returns the eigenvalues (ascending) of b = M_JJ - rho z z^T, its top
-    eigenvector v oriented along z, whether sign(v) == z, and the
-    off-support dual block w = M_{Jc,J} v / (rho ||v||_1), which makes
-    (M - rho Z)_{Jc,J} v = 0.  It completes the dual z_full, whose
-    Jc x Jc block the caller has filled, in place: z z^T on J x J, and
-    w z^T and its transpose across.
-    """
-    b = m[idx[:, None], idx] - rho * np.outer(z, z)
-    bvals, bvecs = np.linalg.eigh(b)
-    # a column view, not a copy: M_{Jc,J} v rounds differently on a
-    # contiguous v
-    v = bvecs[:, -1]
-    if float(z @ v) < 0:
-        v = -v
-    sign_ok = bool(np.all(np.sign(v) == z))
-    w = (m[comp[:, None], idx] @ v) / (rho * float(np.abs(v).sum()))
-    # the rows and columns of J: z on J and w on Jc, times z
-    r = np.empty(m.shape[0])
-    r[idx] = z
-    r[comp] = w
-    z_full[idx] = np.outer(z, r)
-    z_full[:, idx] = np.outer(r, z)
-    return bvals, v, sign_ok, w
-
-
 @dataclass(eq=False)
 class _WitnessWindow:
     """The path witness on a window of consecutive grid points; see
@@ -446,8 +411,6 @@ class _WitnessWindow:
     last: SdpSolution | None = None
     # the candidate the point after the certified ones declined, if any
     declined: SdpSolution | None = None
-    # the sign pattern of last's top eigenvector on J, when last kept J
-    z_next: np.ndarray | None = None
 
     @property
     def certified(self) -> int:
@@ -459,16 +422,16 @@ def _witness_window(
     rhos: tuple[float, ...],
     prev: SdpSolution,
     tol: float,
-    z: np.ndarray | None = None,
 ) -> _WitnessWindow:
     """The rank-one witness at rhos[0], rhos[1], ... in turn, each point
     built on the support J and sign pattern of the point before it.
 
-    The first point takes J = prev.support and z, or, when z is None, the
-    sign pattern of the top eigenvector of prev.x_hat on J x J.  Each
-    point's witness is X = v v^T, with v the top eigenvector of
-    M_JJ - rho z z^T oriented along z, and the dual Z of
-    _restricted_witness with clip(M / rho, -1, 1) on Jc x Jc, so
+    The first point takes J = prev.support and z, the sign pattern of the
+    top eigenvector of prev.x_hat on J x J.  Each point's witness is
+    X = v v^T, with v the top eigenvector of M_JJ - rho z z^T oriented
+    along z, and the dual Z with z z^T on J x J, w z^T and its transpose
+    across, where w = M_{Jc,J} v / (rho ||v||_1) makes
+    (M - rho Z)_{Jc,J} v = 0, and clip(M / rho, -1, 1) on Jc x Jc, so
     |Z|_max <= 1 whenever |w|_max <= 1.  The point is certified when
     sign(v) == z, |w|_max <= 1 and its gap passes _certificate.  The next
     point builds on that X: the walk goes on while X keeps all of J and
@@ -490,13 +453,15 @@ def _witness_window(
     and the declined one are returned as solutions whose warm-start state
     is (X, rho Z / beta, beta) with beta from prev, the ADMM fixed point
     when the witness is certified.  Requires every rho > 0.
+
+    A window depends on prev alone, so tune_rho may size windows freely:
+    it doubles a window while every point certifies.
     """
     d = m.shape[0]
     on = np.zeros(d, dtype=bool)
     on[list(prev.support)] = True
     idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
-    if z is None:
-        z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
+    z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
     if not np.all(z):
         return _WitnessWindow()
     rho = np.array(rhos)
@@ -583,8 +548,6 @@ def _witness_window(
     c = win.certified
     if c:
         win.last = solution(c - 1, win.objectives[-1], win.gaps[-1], True)
-        if c == p and c - 1 < n_next:
-            win.z_next = z_next[c - 1]
     if c < p:
         win.declined = solution(c, objective, gap, False)
     return win
@@ -616,10 +579,26 @@ def witness_certificate(
     u1 = dec.vectors[:, 0]
     s = idx.size
 
+    # v: the top eigenvector of M_JJ - rho z z^T oriented along z, and
+    # w = M_{Jc,J} v / (rho ||v||_1), which makes (M - rho Z)_{Jc,J} v = 0
     z = np.sign(u1[idx])
+    bvals, bvecs = np.linalg.eigh(m.a[idx[:, None], idx] - rho * np.outer(z, z))
+    # a column view, not a copy: M_{Jc,J} v rounds differently on a
+    # contiguous v
+    v = bvecs[:, -1]
+    if float(z @ v) < 0:
+        v = -v
+    cond_sign = bool(np.all(np.sign(v) == z))
+    w = (m.a[comp[:, None], idx] @ v) / (rho * float(np.abs(v).sum()))
+    # the dual: z z^T on J x J, w z^T and its transpose across, and
+    # (M - A o M*) / rho on Jc x Jc
     z_full = (m.a - g.mask * m_star.a) / rho
     tail = z_full[comp[:, None], comp]
-    bvals, _, cond_sign, w = _restricted_witness(m.a, rho, idx, comp, z, z_full)
+    r = np.empty(m.dim)
+    r[idx] = z
+    r[comp] = w
+    z_full[idx] = np.outer(z, r)
+    z_full[:, idx] = np.outer(r, z)
     lam1_restricted = float(bvals[-1])
     eigengap = float(bvals[-1] - bvals[-2]) if s >= 2 else math.inf
     cond_gap = eigengap > _STRICT_MARGIN

@@ -45,9 +45,10 @@ __all__ = [
 
 # step-0.025 grid from 0.025 to 1.0 inclusive
 DEFAULT_RHO_GRID = tuple(round(0.025 * k, 6) for k in range(1, 41))
-# grid points in tune_rho's first witness window, and after a fallback or
-# a support change: the dense rho = 0 support usually shrinks within a
-# few points, and a window beyond the first decline is wasted
+# grid points in tune_rho's first witness window, which doubles while
+# every point certifies and is reset when a decline or a support change
+# cuts it short: the dense rho = 0 support usually shrinks within a few
+# points, and a window beyond the first decline is wasted
 _FIRST_WINDOW = 4
 
 
@@ -143,10 +144,12 @@ def tune_rho(
     witness (X = v v^T and its dual), or from the previous grid point when
     the sign pattern had a zero entry and no witness was built.  The warm
     start does not change the converged solutions but cuts the iteration
-    count considerably.  The witness is evaluated over windows of
-    consecutive grid points that share the support and sign pattern, with
-    the bytes of one point at a time; a window starts at 4 points and
-    doubles while every point in it is certified and keeps the support.
+    count considerably.  A declined witness whose state is not finite,
+    as at a subnormal rho, is passed over for the previous grid point.
+    The witness is evaluated over windows of consecutive grid points, each
+    built on the last certified point alone, with the bytes of one point
+    at a time; a window starts at 4 points and doubles while every point
+    certifies.
     """
     m = SymMatrix(m)
     if not 0.0 < a < 1.0:
@@ -165,14 +168,14 @@ def tune_rho(
         expl = _explained(m.a, sol.x_hat.a)
         points.append((sol.converged, sol.iterations, sol.gap, expl, sol.support))
 
-    prev, z, size, k = base_sol, None, _FIRST_WINDOW, 0
+    prev, size, k = base_sol, _FIRST_WINDOW, 0
     while k < len(grid):
         if grid[k] == 0.0:
             keep(base_sol)
             k += 1
             continue
         rhos = grid[k : k + size]
-        win = _witness_window(m.a, rhos, prev, tol, z)
+        win = _witness_window(m.a, rhos, prev, tol)
         c = win.certified
         for i in range(c):
             support = prev.support if i < c - 1 else win.last.support
@@ -180,14 +183,16 @@ def tune_rho(
         if c:
             prev = win.last
         k += c
-        z = win.z_next
-        size = 2 * size if c == len(rhos) and z is not None else _FIRST_WINDOW
+        size = 2 * size if c == len(rhos) else _FIRST_WINDOW
         if c == 0 or win.declined is not None:
-            start = prev if win.declined is None else win.declined
+            start = win.declined or prev
+            # at a subnormal rho, w = M_{Jc,J} v / (rho ||v||_1) can
+            # overflow and leave the declined candidate's state not finite
+            if not np.isfinite(start._state[1]).all():
+                start = prev
             prev = solve_sdp(m, grid[k], tol=tol, max_iter=max_iter, warm_start=start)
             keep(prev)
             k += 1
-            z = None
 
     converged, iterations, gaps, explained, supports = zip(*points)
     criteria = [

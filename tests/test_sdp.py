@@ -29,7 +29,6 @@ from spcarec.sdp import (
     SdpSolution,
     _certificate,
     _checked_decomposition,
-    _restricted_witness,
     _support_arrays,
     _witness_window,
     kkt_report,
@@ -959,8 +958,8 @@ class TestPathWitness:
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0, 1, 2})
         z = np.ones(3)
-        _, _, sign_ok, _ = _restricted_witness(
-            m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((3, 3))
+        _, _, sign_ok, _, _ = _reference_restricted_witness(
+            m.a, 0.1, np.arange(3), np.arange(0), z, np.zeros((0, 0))
         )
         assert not sign_ok
         declined = _witness_at(m.a, 0.1, base, DEFAULT_TOL)
@@ -975,8 +974,8 @@ class TestPathWitness:
         m = SymMatrix([[1.0, delta], [delta, 0.0]])
         base = solve_sdp(m, 0.0)
         assert base.support == frozenset({0})
-        _, _, sign_ok, w = _restricted_witness(
-            m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((2, 2))
+        _, _, sign_ok, w, _ = _reference_restricted_witness(
+            m.a, rho, np.array([0]), np.array([1]), np.ones(1), np.zeros((1, 1))
         )
         assert sign_ok and w[0] == pytest.approx(delta / rho)
         declined = _witness_at(m.a, rho, base, DEFAULT_TOL)
@@ -1007,6 +1006,17 @@ class TestPathWitness:
         prev = solve_sdp(m, 0.0)
         assert np.array_equal(prev.x_hat.a, np.eye(2) / 2)
         assert _witness_at(m.a, 0.1, prev, DEFAULT_TOL) is None
+
+    @pytest.mark.parametrize("rho", [5e-324, 2.2250738585e-313, 1e-310])
+    def test_subnormal_rho_falls_back_from_prev(self, rho):
+        # w = M_{Jc,J} v / (rho ||v||_1) can overflow at a subnormal rho,
+        # leaving the declined candidate without a finite warm-start state
+        m = _planted(np.random.default_rng(3), 2)
+        cold = solve_sdp(m, rho)
+        assert cold.converged
+        trace = tune_rho(m, (rho,), 0.5)
+        assert trace.converged == (True,)
+        assert trace.supports == (cold.support,)
 
 
 # hand cases of TestPathWitness that start from the matrix's own rho = 0
@@ -1170,8 +1180,8 @@ def _walked_points(m, grid, tol):
     (prev.support, rhos, window)."""
     points, windows = [], []
 
-    def window(m_a, rhos, prev, tol, z=None):
-        win = _witness_window(m_a, rhos, prev, tol, z)
+    def window(m_a, rhos, prev, tol):
+        win = _witness_window(m_a, rhos, prev, tol)
         windows.append((prev.support, rhos, win))
         for i in range(win.certified):
             support = support_of(SymMatrix(win.x[i]))

@@ -136,8 +136,8 @@ class TestTuneRho:
     def test_per_point_diagnostics_aligned_with_grid(self, monkeypatch):
         witnesses = {}
 
-        def record(m, rhos, prev, tol, z=None):
-            win = _witness_window(m, rhos, prev, tol, z)
+        def record(m, rhos, prev, tol):
+            win = _witness_window(m, rhos, prev, tol)
             for i in range(win.certified):
                 x_hat = SymMatrix(win.x[i])
                 witnesses[rhos[i]] = (x_hat, win.z_dual[i], win.objectives[i], win.gaps[i])
@@ -229,10 +229,10 @@ class TestFallbackWarmStart:
         previous grid point."""
         prevs, witnesses, pairs = {}, {}, []
 
-        def witness(m_a, rhos, prev, tol, z=None):
+        def witness(m_a, rhos, prev, tol):
             # the point after the certified ones: the walk's next fallback
             # when the window declined it or built no witness there
-            win = _witness_window(m_a, rhos, prev, tol, z)
+            win = _witness_window(m_a, rhos, prev, tol)
             c = win.certified
             if c < len(rhos):
                 prevs[rhos[c]] = win.last if c else prev
