@@ -88,14 +88,14 @@ class _Recorder:
             return sol
 
         def witness(*args, **kwargs):
-            win = self._witness(*args, **kwargs)
+            sols = self._witness(*args, **kwargs)
+            c = sum(sol.converged for sol in sols)
             self.windows += 1
-            self.certified += win.certified
-            self.declined += win.declined is not None
-            self.tried += win.certified + (
-                win.certified == 0 or win.declined is not None
-            )
-            return win
+            self.certified += c
+            self.declined += c < len(sols)
+            # [] built no witness at its first point, which is still tried
+            self.tried += len(sols) or 1
+            return sols
 
         sdp._admm = admm
         spca._witness_window = witness

@@ -394,65 +394,57 @@ def _checked_decomposition(
     return dec, idx, comp
 
 
-@dataclass(eq=False)
-class _WitnessWindow:
-    """The path witness on a window of consecutive grid points; see
-    _witness_window.  The stacks hold the p points evaluated, in grid
-    order; the lists hold the leading points that were certified."""
+def _offblock(m_cj: np.ndarray, v: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
+    """w = M_{Jc,J} v / (rho ||v||_1) for v oriented along z, which makes
+    (M - rho Z)_{Jc,J} v = 0 for the dual Z with w z^T across.
 
-    # X = v v^T and the dual Z of each evaluated point, shape (p, d, d)
-    x: np.ndarray | None = None
-    z_dual: np.ndarray | None = None
-    # objective, certified gap and <M, X> of each certified point
-    objectives: list = field(default_factory=list)
-    gaps: list = field(default_factory=list)
-    explained: list = field(default_factory=list)
-    # the last certified point, on which the next grid point builds
-    last: SdpSolution | None = None
-    # the candidate the point after the certified ones declined, if any
-    declined: SdpSolution | None = None
-
-    @property
-    def certified(self) -> int:
-        return len(self.gaps)
+    The product is taken on v as LAPACK returns it and negated together
+    with v: numpy rounds M_{Jc,J} v differently on a strided v and on a
+    contiguous copy, and negation is exact, so w does not depend on the
+    sign LAPACK gives v."""
+    w = (m_cj @ v) / (rho * float(np.abs(v).sum()))
+    return -w if float(z @ v) < 0 else w
 
 
+# At a subnormal rho, M / rho and w can overflow: the clip bounds M / rho,
+# an overflowing w fails |w|_max <= 1, and tune_rho passes over a declined
+# candidate whose state is not finite.
+@np.errstate(over="ignore")
 def _witness_window(
     m: np.ndarray,
     rhos: tuple[float, ...],
     prev: SdpSolution,
     tol: float,
-) -> _WitnessWindow:
+) -> list[SdpSolution]:
     """The rank-one witness at rhos[0], rhos[1], ... in turn, each point
-    built on the support J and sign pattern of the point before it.
+    built on the support J and sign pattern z of the point before it.
 
     The first point takes J = prev.support and z, the sign pattern of the
     top eigenvector of prev.x_hat on J x J.  Each point's witness is
     X = v v^T, with v the top eigenvector of M_JJ - rho z z^T oriented
     along z, and the dual Z with z z^T on J x J, w z^T and its transpose
-    across, where w = M_{Jc,J} v / (rho ||v||_1) makes
-    (M - rho Z)_{Jc,J} v = 0, and clip(M / rho, -1, 1) on Jc x Jc, so
-    |Z|_max <= 1 whenever |w|_max <= 1.  The point is certified when
-    sign(v) == z, |w|_max <= 1 and its gap passes _certificate.  The next
-    point builds on that X: the walk goes on while X keeps all of J and
-    the sign pattern z' of X's top eigenvector on J is z or -z, and then
-    z' z'^T = z z^T.
+    across, where w = M_{Jc,J} v / (rho ||v||_1) (see _offblock), and
+    clip(M / rho, -1, 1) on Jc x Jc, so |Z|_max <= 1 whenever
+    |w|_max <= 1.  The point is certified when sign(v) == z, |w|_max <= 1
+    and its gap passes _certificate.  The next point builds on that X: the
+    walk goes on while X keeps all of J.  Then X's top eigenvector on J is
+    +-v, whose every entry exceeds 1e-2 of the largest in magnitude, so
+    its sign pattern is +-z, and the window's z serves the next point.
+    Negating z negates v and w with it and leaves X and Z as they are.
 
-    So one eigh of the stack M_JJ - rho_k z z^T serves the window, one
-    eigh of the stack of X's J blocks gives each next sign pattern, and
-    one eigvalsh of the stack M - rho_k Z_k the gaps.  Stacked calls
-    return the bytes of single calls, and w = M_{Jc,J} v is one product
-    per point on v's own memory layout, so every point has the bytes of
-    the witness evaluated on its own.
+    So one eigh of the stack M_JJ - rho_k z z^T serves the window, and one
+    eigvalsh of the stack M - rho_k Z_k the gaps.  Stacked calls return
+    the bytes of single calls, and w is one product per point, so every
+    point has the bytes of the witness evaluated on its own.
 
-    The walk stops at the first point that is not certified, which is
-    then `declined`, with objective nan and gap inf when the sign or
-    off-block test failed; or after a certified point whose X drops part
-    of J or whose z' is not +-z; or at the end of the window.  It
-    evaluates no point when z has a zero entry.  The last certified point
-    and the declined one are returned as solutions whose warm-start state
-    is (X, rho Z / beta, beta) with beta from prev, the ADMM fixed point
-    when the witness is certified.  Requires every rho > 0.
+    Returns the certified points in grid order, then the point after them
+    if a candidate was built there and declined, with objective nan and
+    gap inf when the sign or off-block test failed; [] when z has a zero
+    entry.  The walk stops at the first point that is not certified; or
+    after a certified point whose X drops part of J; or at the end of the
+    window.  Each point's warm-start state is (X, rho Z / beta, beta) with
+    beta from prev, the ADMM fixed point when the witness is certified.
+    Requires every rho > 0.
 
     A window depends on prev alone, so tune_rho may size windows freely:
     it doubles a window while every point certifies.
@@ -463,7 +455,7 @@ def _witness_window(
     idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
     z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
     if not np.all(z):
-        return _WitnessWindow()
+        return []
     rho = np.array(rhos)
     beta = prev._state[2]
 
@@ -472,85 +464,60 @@ def _witness_window(
     # sign(v) == z after orienting v along z exactly when sign(v) == +-z
     signs = np.sign(v_top)
     sign_ok = np.all(signs == z, axis=1) | np.all(signs == -z, axis=1)
-    x_jj = v_top[:, :, None] * v_top[:, None, :]
     dg = v_top * v_top
     in_support = dg > SUPPORT_THRESHOLD * dg.max(axis=1, keepdims=True)
-    keeps_j = np.all(in_support, axis=1)
-    # next sign patterns, for the points before the first that cannot go on
-    goes_on = sign_ok & keeps_j
-    n_next = int(np.argmin(goes_on)) if not goes_on.all() else rho.size
-    z_next = np.sign(np.linalg.eigh(x_jj[:n_next])[1][:, :, -1])
-    goes_on[:n_next] = np.all(z_next == z, axis=1) | np.all(z_next == -z, axis=1)
+    goes_on = sign_ok & np.all(in_support, axis=1)
 
     m_cj = m[comp[:, None], idx]
-    zs, ws = [], []
-    zi = z
+    ws = []
     for i in range(rho.size):
-        # a column view, not a copy: M_{Jc,J} v rounds differently on a
-        # contiguous v
-        v = v_top[i]
-        if float(zi @ v) < 0:
-            v = -v
-        w = (m_cj @ v) / (rhos[i] * float(np.abs(v).sum()))
-        zs.append(zi)
-        ws.append(w)
-        passed = bool(sign_ok[i]) and float(np.abs(w).max(initial=0.0)) <= 1.0
+        ws.append(_offblock(m_cj, v_top[i], z, rhos[i]))
+        passed = bool(sign_ok[i]) and float(np.abs(ws[i]).max(initial=0.0)) <= 1.0
         if not (passed and goes_on[i]):
             break
-        zi = z_next[i]
     p = len(ws)
-    z_j = np.array(zs)
     r = np.empty((p, d))
-    r[:, idx] = z_j
+    r[:, idx] = z
     r[:, comp] = ws
-    win = _WitnessWindow(
-        x=np.zeros((p, d, d)), z_dual=np.clip(m / rho[:p, None, None], -1.0, 1.0)
-    )
-    win.x[:, idx[:, None], idx] = x_jj[:p]
-    win.z_dual[:, idx] = z_j[:, :, None] * r[:, None, :]
-    win.z_dual[:, :, idx] = r[:, :, None] * z_j[:, None, :]
+    x = np.zeros((p, d, d))
+    x[:, idx[:, None], idx] = v_top[:p, :, None] * v_top[:p, None, :]
+    z_dual = np.clip(m / rho[:p, None, None], -1.0, 1.0)
+    z_dual[:, idx] = z[:, None] * r[:, None, :]
+    z_dual[:, :, idx] = r[:, :, None] * z
 
     q = p if passed else p - 1
-    tops = np.linalg.eigvalsh(m - rho[:q, None, None] * win.z_dual[:q])[:, -1]
-    objective, gap = math.nan, math.inf
-    for i in range(q):
-        explained = float((m * win.x[i]).sum())
-        objective = explained - rhos[i] * float(np.abs(win.x[i]).sum())
-        gap = float(tops[i]) - objective
-        if gap > tol * max(1.0, abs(objective)):
-            break
-        win.objectives.append(objective)
-        win.gaps.append(gap)
-        win.explained.append(explained)
+    tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_dual[:q])[:, -1]
+    sols = []
+    for i in range(p):
         objective, gap = math.nan, math.inf
-
-    def solution(i, objective, gap, certified):
+        if i < q:
+            objective = float((m * x[i]).sum()) - rhos[i] * float(np.abs(x[i]).sum())
+            gap = float(tops[i]) - objective
+        certified = i < q and gap <= tol * max(1.0, abs(objective))
         # X = v v^T is exactly symmetric: SymMatrix's validation and
         # (A + A^T) / 2 would keep its bytes
-        x = win.x[i].copy()
-        x.setflags(write=False)
+        x_i = x[i].copy()
+        x_i.setflags(write=False)
         x_hat = object.__new__(SymMatrix)
-        x_hat.a = x
-        z_full = win.z_dual[i].copy()
-        return SdpSolution(
-            x_hat=x_hat,
-            objective=objective,
-            iterations=0,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            gap=gap,
-            support=frozenset(idx[in_support[i]].tolist()),
-            converged=certified,
-            z_dual=z_full,
-            _state=(x, rhos[i] * z_full / beta, beta),
+        x_hat.a = x_i
+        z_i = z_dual[i].copy()
+        sols.append(
+            SdpSolution(
+                x_hat=x_hat,
+                objective=objective,
+                iterations=0,
+                primal_residual=0.0,
+                dual_residual=0.0,
+                gap=gap,
+                support=frozenset(idx[in_support[i]].tolist()),
+                converged=certified,
+                z_dual=z_i,
+                _state=(x_i, rhos[i] * z_i / beta, beta),
+            )
         )
-
-    c = win.certified
-    if c:
-        win.last = solution(c - 1, win.objectives[-1], win.gaps[-1], True)
-    if c < p:
-        win.declined = solution(c, objective, gap, False)
-    return win
+        if not certified:
+            break
+    return sols
 
 
 def witness_certificate(
@@ -583,13 +550,11 @@ def witness_certificate(
     # w = M_{Jc,J} v / (rho ||v||_1), which makes (M - rho Z)_{Jc,J} v = 0
     z = np.sign(u1[idx])
     bvals, bvecs = np.linalg.eigh(m.a[idx[:, None], idx] - rho * np.outer(z, z))
-    # a column view, not a copy: M_{Jc,J} v rounds differently on a
-    # contiguous v
     v = bvecs[:, -1]
-    if float(z @ v) < 0:
-        v = -v
-    cond_sign = bool(np.all(np.sign(v) == z))
-    w = (m.a[comp[:, None], idx] @ v) / (rho * float(np.abs(v).sum()))
+    # sign(v) == z after orienting v along z exactly when sign(v) == +-z
+    signs = np.sign(v)
+    cond_sign = bool(np.all(signs == z) or np.all(signs == -z))
+    w = _offblock(m.a[comp[:, None], idx], v, z, rho)
     # the dual: z z^T on J x J, w z^T and its transpose across, and
     # (M - A o M*) / rho on Jc x Jc
     z_full = (m.a - g.mask * m_star.a) / rho

@@ -147,9 +147,9 @@ def tune_rho(
     count considerably.  A declined witness whose state is not finite,
     as at a subnormal rho, is passed over for the previous grid point.
     The witness is evaluated over windows of consecutive grid points, each
-    built on the last certified point alone, with the bytes of one point
-    at a time; a window starts at 4 points and doubles while every point
-    certifies.
+    built on the last certified point alone and returning its points as
+    solutions, with the bytes of one point at a time; a window starts at
+    4 points and doubles while every point certifies.
     """
     m = SymMatrix(m)
     if not 0.0 < a < 1.0:
@@ -175,17 +175,16 @@ def tune_rho(
             k += 1
             continue
         rhos = grid[k : k + size]
-        win = _witness_window(m.a, rhos, prev, tol)
-        c = win.certified
-        for i in range(c):
-            support = prev.support if i < c - 1 else win.last.support
-            points.append((True, 0, win.gaps[i], win.explained[i], support))
-        if c:
-            prev = win.last
+        sols = _witness_window(m.a, rhos, prev, tol)
+        c = sum(sol.converged for sol in sols)
+        for sol in sols[:c]:
+            keep(sol)
+            prev = sol
         k += c
         size = 2 * size if c == len(rhos) else _FIRST_WINDOW
-        if c == 0 or win.declined is not None:
-            start = win.declined or prev
+        if c < len(sols) or c == 0:
+            # the declined candidate, or prev when no witness was built
+            start = sols[c] if c < len(sols) else prev
             # at a subnormal rho, w = M_{Jc,J} v / (rho ||v||_1) can
             # overflow and leave the declined candidate's state not finite
             if not np.isfinite(start._state[1]).all():

@@ -29,6 +29,7 @@ from spcarec.sdp import (
     SdpSolution,
     _certificate,
     _checked_decomposition,
+    _offblock,
     _support_arrays,
     _witness_window,
     kkt_report,
@@ -235,14 +236,16 @@ def _reference_aa_admm(m, rho, tol, max_iter, state=None, counts=None):
 
 def _reference_restricted_witness(m, rho, idx, comp, z, tail):
     """The block-dual builder as first written: np.ix_ blocks, the
-    eigenvalues descending, and Z assembled from four block writes."""
+    eigenvalues descending, and Z assembled from four block writes.  w is
+    taken on v as the eigensolver returns it, and negated with v when v
+    points against z."""
     b = m[np.ix_(idx, idx)] - rho * np.outer(z, z)
     bvals, bvecs = _eigh_descending(b)
     v = bvecs[:, 0]
-    if float(z @ v) < 0:
-        v = -v
-    sign_ok = bool(np.all(np.sign(v) == z))
     w = (m[np.ix_(comp, idx)] @ v) / (rho * float(np.abs(v).sum()))
+    if float(z @ v) < 0:
+        v, w = -v, -w
+    sign_ok = bool(np.all(np.sign(v) == z))
     zw = np.outer(w, z)
     z_full = np.empty_like(m)
     z_full[np.ix_(idx, idx)] = np.outer(z, z)
@@ -278,8 +281,8 @@ def _witness_at(m, rho, prev, tol):
     """The path witness at one grid point, as a one-point window: the
     certified solution, else the declined candidate, else None when no
     witness was built."""
-    win = _witness_window(m, (rho,), prev, tol)
-    return win.last or win.declined
+    sols = _witness_window(m, (rho,), prev, tol)
+    return sols[0] if sols else None
 
 
 def _reference_witness_numbers(m_star, g, m, rho, support):
@@ -1007,10 +1010,12 @@ class TestPathWitness:
         assert np.array_equal(prev.x_hat.a, np.eye(2) / 2)
         assert _witness_at(m.a, 0.1, prev, DEFAULT_TOL) is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rho", [5e-324, 2.2250738585e-313, 1e-310])
     def test_subnormal_rho_falls_back_from_prev(self, rho):
         # w = M_{Jc,J} v / (rho ||v||_1) can overflow at a subnormal rho,
-        # leaving the declined candidate without a finite warm-start state
+        # leaving the declined candidate without a finite warm-start state;
+        # the overflow is expected and raises no warning
         m = _planted(np.random.default_rng(3), 2)
         cold = solve_sdp(m, rho)
         assert cold.converged
@@ -1119,6 +1124,68 @@ class TestWitnessBitIdentity:
         assert {1, "all"} <= sizes
 
 
+# numpy rounds M_{Jc,J} v differently on a strided v and on a contiguous
+# copy for some draws with one off-support row; the batteries below
+# include such draws, so w must be taken on v as LAPACK returns it and
+# negated after the product, or a sign flip of v changes its bytes
+
+
+def _view_and_copy_differ(m_cj, v):
+    return not _same_bytes(m_cj @ v, m_cj @ v.copy())
+
+
+class TestWitnessSignIndependence:
+    """w and the witness do not depend on the sign LAPACK gives v."""
+
+    def test_offblock_same_bytes_for_both_signs(self):
+        rng = np.random.default_rng(32)
+        differ = 0
+        for _ in range(3000):
+            c, s = (int(n) for n in rng.integers(1, 20, size=2))
+            b = rng.standard_normal((s, s))
+            vecs = np.linalg.eigh(b + b.T)[1]
+            m_cj = rng.standard_normal((c, s))
+            z = rng.choice([-1.0, 1.0], s)
+            rho = float(rng.uniform(0.05, 1.0))
+            # both are strided column views
+            w = _offblock(m_cj, vecs[:, -1], z, rho)
+            assert _same_bytes(w, _offblock(m_cj, (-vecs)[:, -1], z, rho))
+            differ += _view_and_copy_differ(m_cj, vecs[:, -1])
+        assert differ > 0
+
+    def test_witness_certificate_same_for_both_signs(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        cases, differ = [], 0
+        for _ in range(300):
+            # a support of all but one coordinate: one off-support row
+            d = int(rng.integers(5, 13))
+            idx = np.sort(rng.choice(d, d - 1, replace=False))
+            comp = np.setdiff1d(np.arange(d), idx)
+            u = np.zeros(d)
+            u[idx] = rng.choice([-1.0, 1.0], d - 1) * rng.uniform(0.5, 1.0, d - 1)
+            m_star = SymMatrix(5.0 * np.outer(u, u) / (u @ u))
+            noise = 0.05 * rng.standard_normal((d, d))
+            m = SymMatrix(m_star.a + noise + noise.T)
+            rho = float(rng.uniform(0.05, 0.8))
+            rep = witness_certificate(m_star, _complete_with_loops(d), m, rho, idx)
+            cases.append((m_star, m, rho, idx, repr(rep)))
+            z = np.sign(u[idx])
+            v = np.linalg.eigh(m.a[np.ix_(idx, idx)] - rho * np.outer(z, z))[1][:, -1]
+            differ += _view_and_copy_differ(m.a[np.ix_(comp, idx)], v)
+        assert differ > 0
+
+        lapack_eigh = np.linalg.eigh
+
+        def flipped_eigh(a, *args, **kwargs):
+            vals, vecs = lapack_eigh(a, *args, **kwargs)
+            return vals, -vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+        for m_star, m, rho, idx, want in cases:
+            got = witness_certificate(m_star, _complete_with_loops(m.dim), m, rho, idx)
+            assert repr(got) == want
+
+
 def _point(sol, start):
     """What the walk comparison reads at a grid point: X, Z, objective,
     gap, support, converged, iterations, and the warm-start state of its
@@ -1177,17 +1244,14 @@ def _reference_tune_points(m, grid, tol):
 def _walked_points(m, grid, tol):
     """tune_rho's trace; its rho > 0 points as _point reads them, off its
     witness windows and its ADMM solves; and its windows as
-    (prev.support, rhos, window)."""
+    (prev, rhos, solutions)."""
     points, windows = [], []
 
     def window(m_a, rhos, prev, tol):
-        win = _witness_window(m_a, rhos, prev, tol)
-        windows.append((prev.support, rhos, win))
-        for i in range(win.certified):
-            support = support_of(SymMatrix(win.x[i]))
-            row = (win.objectives[i], win.gaps[i], support, True, 0, None)
-            points.append((win.x[i], win.z_dual[i]) + row)
-        return win
+        sols = _witness_window(m_a, rhos, prev, tol)
+        windows.append((prev, rhos, sols))
+        points.extend(_point(sol, None) for sol in sols if sol.converged)
+        return sols
 
     def solve(m, rho, warm_start=None, **kwargs):
         sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
@@ -1233,20 +1297,40 @@ def _assert_same_walk(m, grid, tol=DEFAULT_TOL):
     return windows
 
 
+def _top_signs(x_jj):
+    return np.sign(np.linalg.eigh(x_jj)[1][:, -1])
+
+
 def _window_cases(windows):
     """The cases of the walk that its windows reached."""
     cases = set()
-    for support, rhos, win in windows:
-        c = win.certified
+    for prev, rhos, sols in windows:
+        c = sum(sol.converged for sol in sols)
         if len(rhos) > 4:
             cases.add("longer than 4 points")
-        if c > 1 and c < len(rhos) and win.last.support < support:
+        if c > 1 and c < len(rhos) and sols[c - 1].support < prev.support:
             cases.add("support shrink inside a window")
-        if c == 0 and win.declined is None:
+        if not sols:
             cases.add("zero-sign break")
-        if c > 0 and win.declined is not None:
+        if 0 < c < len(sols):
             cases.add("fallback inside a window")
+        # the sign pattern of X's top eigenvector on J at each point that
+        # another point of the window follows, against the window's z
+        jj = np.ix_(sorted(prev.support), sorted(prev.support))
+        z = _top_signs(prev.x_hat.a[jj])
+        if any(np.array_equal(_top_signs(sol.x_hat.a[jj]), -z) for sol in sols[:-1]):
+            cases.add("sign flip inside a window")
     return cases
+
+
+def _sign_flip_matrix():
+    """A masked planted matrix on whose DEFAULT_RHO_GRID walk the top
+    eigenvector of a certified X on J has sign pattern -z, z that of the
+    window, at 3 points that another point of the window follows."""
+    rng = np.random.default_rng(113)
+    m = _planted(rng, 4).a
+    mask = rng.random((4, 4)) < 0.6
+    return SymMatrix(m * (np.triu(mask) | np.triu(mask, 1).T))
 
 
 class TestWindowedWalk:
@@ -1260,12 +1344,15 @@ class TestWindowedWalk:
             cases |= _window_cases(_assert_same_walk(m, DEFAULT_RHO_GRID))
         for a, grid in _HAND_CHAINS:
             cases |= _window_cases(_assert_same_walk(SymMatrix(a), grid))
-        # the battery reaches every way a window ends
+        cases |= _window_cases(_assert_same_walk(_sign_flip_matrix(), DEFAULT_RHO_GRID))
+        # the battery reaches every way a window ends, and a window whose
+        # z is the negated sign pattern of a certified point's X
         assert cases == {
             "longer than 4 points",
             "support shrink inside a window",
             "zero-sign break",
             "fallback inside a window",
+            "sign flip inside a window",
         }
 
     @pytest.mark.parametrize(

@@ -137,11 +137,12 @@ class TestTuneRho:
         witnesses = {}
 
         def record(m, rhos, prev, tol):
-            win = _witness_window(m, rhos, prev, tol)
-            for i in range(win.certified):
-                x_hat = SymMatrix(win.x[i])
-                witnesses[rhos[i]] = (x_hat, win.z_dual[i], win.objectives[i], win.gaps[i])
-            return win
+            sols = _witness_window(m, rhos, prev, tol)
+            for rho, sol in zip(rhos, sols):
+                if sol.converged:
+                    x_hat = SymMatrix(sol.x_hat.a)
+                    witnesses[rho] = (x_hat, sol.z_dual, sol.objective, sol.gap)
+            return sols
 
         monkeypatch.setattr(spca, "_witness_window", record)
         rng = np.random.default_rng(41)
@@ -232,12 +233,12 @@ class TestFallbackWarmStart:
         def witness(m_a, rhos, prev, tol):
             # the point after the certified ones: the walk's next fallback
             # when the window declined it or built no witness there
-            win = _witness_window(m_a, rhos, prev, tol)
-            c = win.certified
+            sols = _witness_window(m_a, rhos, prev, tol)
+            c = sum(sol.converged for sol in sols)
             if c < len(rhos):
-                prevs[rhos[c]] = win.last if c else prev
-                witnesses[rhos[c]] = win.declined
-            return win
+                prevs[rhos[c]] = sols[c - 1] if c else prev
+                witnesses[rhos[c]] = sols[c] if c < len(sols) else None
+            return sols
 
         def solve(m, rho, warm_start=None, **kwargs):
             sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
