@@ -70,9 +70,9 @@ class _Recorder:
     witness windows, the rho > 0 grid points the witness was tried on,
     those it certified, and those it declined after building a candidate,
     which the ADMM fallback then starts from.  A window tries its
-    certified points and the point after them when it declined that point
-    or built no witness there; any later point of the window is tried
-    again by the next window."""
+    certified points and, when it hands out a fallback start, the point
+    after them; any later point of the window is tried again by the next
+    window."""
 
     def __init__(self):
         self.solves = []
@@ -87,15 +87,16 @@ class _Recorder:
             self.solves.append((sol.iterations, sol.converged, rel))
             return sol
 
-        def witness(*args, **kwargs):
-            sols = self._witness(*args, **kwargs)
-            c = sum(sol.converged for sol in sols)
+        def witness(m, rhos, prev, tol):
+            certified, start = self._witness(m, rhos, prev, tol)
             self.windows += 1
-            self.certified += c
-            self.declined += c < len(sols)
-            # [] built no witness at its first point, which is still tried
-            self.tried += len(sols) or 1
-            return sols
+            self.certified += len(certified)
+            # start is the declined candidate unless the walk already had it
+            last = certified[-1] if certified else prev
+            self.declined += start is not None and start is not last
+            # a start is handed out for the point after the certified ones
+            self.tried += len(certified) + (start is not None)
+            return certified, start
 
         sdp._admm = admm
         spca._witness_window = witness

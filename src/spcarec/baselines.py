@@ -22,7 +22,7 @@ from .numerics import (
     _check_positive_finite,
     _soft_threshold_arr,
 )
-from .sdp import SdpSolution, solve_sdp, support_of
+from .sdp import SdpSolution, solve_sdp
 
 __all__ = [
     "BaselineResult",
@@ -60,31 +60,24 @@ def itspca(
     threshold: float,
     max_iter: int = 1000,
     tol: float = 1e-8,
-    rng_seed: int | None = None,
 ) -> BaselineResult:
     """Power iteration with entrywise soft thresholding of the iterate.
 
-    Starts from the normalized all-ones vector, or from a random unit
-    vector when rng_seed is given.  Raises ThresholdTooLarge if the
-    iterate collapses to zero.
+    Starts from the normalized all-ones vector.  Raises ThresholdTooLarge
+    if the iterate collapses to zero.
     """
     m = SymMatrix(m)
     _check_nonnegative_finite(threshold, "threshold")
     _check_positive_finite(tol, "tol")
     _check_max_iter(max_iter)
     d = m.dim
-    # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
-    if rng_seed is None:
-        v = np.ones(d) / np.sqrt(d)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-        v = rng.standard_normal(d)
-        v /= math.sqrt(v.dot(v))
+    v = np.ones(d) / np.sqrt(d)
     a = m.a
     delta = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         w = _soft_threshold_arr(a @ v, threshold)
+        # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
         nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             raise ThresholdTooLarge(
@@ -194,7 +187,7 @@ def mc_then_sdp(
     y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
     sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
     return BaselineResult(
-        support=support_of(sol.x_hat),
+        support=sol.support,
         diagnostics={
             "completion_iterations": info["iterations"],
             "completion_residual": info["residual"],

@@ -18,7 +18,7 @@ from .baselines import complete_nuclear, dtspca, itspca
 from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
 from .graph import ObservationGraph, _node_set, graph_from_mask, random_graph_bucketed
 from .numerics import SymMatrix, _check_nonnegative_finite
-from .spca import DEFAULT_RHO_GRID, rescaled_parameter, tune_rho
+from .spca import DEFAULT_RHO_GRID, _checked_grid, rescaled_parameter, tune_rho
 
 __all__ = [
     "ProblemInstance",
@@ -96,6 +96,14 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+def _check_instance_args(d: int, s: int, gap: float, sigma: float) -> None:
+    if not 1 <= s <= d:
+        raise ValueError("need 1 <= s <= d")
+    if not gap > 0:
+        raise ValueError("spectral gap must be positive")
+    _check_nonnegative_finite(sigma, "sigma")
+
+
 def gen_instance(
     d: int,
     s: int,
@@ -114,13 +122,9 @@ def gen_instance(
     second.  Noise is N(0, sigma^2), drawn once per unordered pair, and
     only observed entries are kept (zero imputation elsewhere).
     """
-    if not 1 <= s <= d:
-        raise ValueError("need 1 <= s <= d")
-    if not gap > 0:
-        raise ValueError("spectral gap must be positive")
+    _check_instance_args(d, s, gap, sigma)
     if graph.n != d:
         raise ValueError("graph node count must equal d")
-    _check_nonnegative_finite(sigma, "sigma")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     if support is None:
         idx = np.sort(rng.choice(d, size=s, replace=False))
@@ -251,6 +255,10 @@ def _rep_task(spec: _Spec, bucket_idx: int, bucket: tuple[float, float], rep: in
 def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
     if spec.reps < 1:
         raise ValueError("reps must be at least 1")
+    # a bucket that exhausts its rejection budget draws no instance and
+    # tunes nothing, so the inputs are checked here, before the first draw
+    _check_instance_args(spec.d, spec.s, spec.gap, spec.sigma)
+    _checked_grid(spec.rho_grid, spec.a)
     reps = spec.reps
     rows = []
     for b, (lo, hi) in enumerate(buckets):
@@ -522,7 +530,9 @@ def emit_csv(rows, path) -> None:
 def parse_rows_csv(path) -> list[ExperimentRow]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MatrixParseError("file is empty")
         if header != _ROW_HEADER:
             raise MatrixParseError(f"unexpected header {header}")
         rows = []

@@ -89,18 +89,17 @@ class SdpSolution:
 
 
 def _certificate(
-    m: np.ndarray, rho: float, x: np.ndarray, z: np.ndarray | None, tol: float
+    m: np.ndarray, rho: float, x: np.ndarray, top: float, tol: float
 ) -> tuple[float, float, bool]:
     """Objective of x, its certified gap, and whether gap <= tol max(1, |obj|).
 
-    Weak duality makes lambda_max(M - rho Z) an upper bound on the optimum
-    for any symmetric |Z|_max <= 1 (z is None at rho == 0, where the dual
-    matrix is M itself), so the gap lambda_max(M - rho Z) minus the
-    objective bounds the suboptimality of x.
+    `top` is lambda_max(M - rho Z) for a dual Z (M itself at rho == 0).
+    Weak duality makes it an upper bound on the optimum for any symmetric
+    |Z|_max <= 1, so the gap top minus the objective bounds the
+    suboptimality of x.
     """
     objective = float((m * x).sum()) - rho * float(np.abs(x).sum())
-    dual_m = m if z is None else m - rho * z
-    gap = float(np.linalg.eigvalsh(dual_m)[-1]) - objective
+    gap = float(top) - objective
     return objective, gap, gap <= tol * max(1.0, abs(objective))
 
 
@@ -194,7 +193,8 @@ def _admm(
         residual_ok = max(rn, sn) <= tol
         if residual_ok or iterations == max_iter:
             z_dual = np.clip(beta * u / rho, -1.0, 1.0) if rho > 0 else None
-            objective, gap, certified = _certificate(m, rho, x, z_dual, tol)
+            top = np.linalg.eigvalsh(m if z_dual is None else m - rho * z_dual)[-1]
+            objective, gap, certified = _certificate(m, rho, x, top, tol)
             converged = residual_ok and certified
             if converged:
                 break
@@ -289,15 +289,15 @@ def solve_restricted(
     )
 
 
-def support_of(x_hat: SymMatrix, threshold: float = SUPPORT_THRESHOLD) -> frozenset:
-    """Indices whose diagonal exceeds threshold times the max diagonal entry."""
-    _check_positive_finite(threshold, "threshold")
+def support_of(x_hat: SymMatrix) -> frozenset:
+    """Indices whose diagonal exceeds SUPPORT_THRESHOLD times the max
+    diagonal entry."""
     x_hat = SymMatrix(x_hat)
     dg = np.diag(x_hat.a)
     mx = float(dg.max(initial=0.0))
     if mx <= 0.0:
         return frozenset()
-    return frozenset(int(i) for i in np.nonzero(dg > threshold * mx)[0])
+    return frozenset(int(i) for i in np.nonzero(dg > SUPPORT_THRESHOLD * mx)[0])
 
 
 @dataclass(frozen=True)
@@ -407,15 +407,15 @@ def _offblock(m_cj: np.ndarray, v: np.ndarray, z: np.ndarray, rho: float) -> np.
 
 
 # At a subnormal rho, M / rho and w can overflow: the clip bounds M / rho,
-# an overflowing w fails |w|_max <= 1, and tune_rho passes over a declined
-# candidate whose state is not finite.
+# and an overflowing w fails |w|_max <= 1 and leaves the declined
+# candidate's state not finite, so it is not handed out as a warm start.
 @np.errstate(over="ignore")
 def _witness_window(
     m: np.ndarray,
     rhos: tuple[float, ...],
     prev: SdpSolution,
     tol: float,
-) -> list[SdpSolution]:
+) -> tuple[list[SdpSolution], SdpSolution | None]:
     """The rank-one witness at rhos[0], rhos[1], ... in turn, each point
     built on the support J and sign pattern z of the point before it.
 
@@ -437,25 +437,26 @@ def _witness_window(
     the bytes of single calls, and w is one product per point, so every
     point has the bytes of the witness evaluated on its own.
 
-    Returns the certified points in grid order, then the point after them
-    if a candidate was built there and declined, with objective nan and
-    gap inf when the sign or off-block test failed; [] when z has a zero
-    entry.  The walk stops at the first point that is not certified; or
-    after a certified point whose X drops part of J; or at the end of the
-    window.  Each point's warm-start state is (X, rho Z / beta, beta) with
-    beta from prev, the ADMM fixed point when the witness is certified.
-    Requires every rho > 0.
+    The walk stops at the first point that is not certified; or after a
+    certified point whose X drops part of J; or at the end of the window.
+    Returns (certified, start): the certified points in grid order, and
+    the warm start of the ADMM fallback at the point after them, None
+    when no fallback is due (the walk did not stop at a declined point).
+    start is the candidate built and declined there, with objective nan
+    and gap inf when the sign or off-block test failed, when its state is
+    finite; otherwise, as when z has a zero entry and no candidate is
+    built, the last certified point, or prev.  Each point's warm-start
+    state is (X, rho Z / beta, beta) with beta from prev, the ADMM fixed
+    point when the witness is certified.  Requires every rho > 0.
 
     A window depends on prev alone, so tune_rho may size windows freely:
     it doubles a window while every point certifies.
     """
     d = m.shape[0]
-    on = np.zeros(d, dtype=bool)
-    on[list(prev.support)] = True
-    idx, comp = np.flatnonzero(on), np.flatnonzero(~on)
+    idx, comp = _support_arrays(d, prev.support)
     z = np.sign(np.linalg.eigh(prev.x_hat.a[idx[:, None], idx])[1][:, -1])
     if not np.all(z):
-        return []
+        return [], prev
     rho = np.array(rhos)
     beta = prev._state[2]
 
@@ -487,13 +488,11 @@ def _witness_window(
 
     q = p if passed else p - 1
     tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_dual[:q])[:, -1]
-    sols = []
+    certified = []
     for i in range(p):
-        objective, gap = math.nan, math.inf
+        objective, gap, ok = math.nan, math.inf, False
         if i < q:
-            objective = float((m * x[i]).sum()) - rhos[i] * float(np.abs(x[i]).sum())
-            gap = float(tops[i]) - objective
-        certified = i < q and gap <= tol * max(1.0, abs(objective))
+            objective, gap, ok = _certificate(m, rhos[i], x[i], tops[i], tol)
         # X = v v^T is exactly symmetric: SymMatrix's validation and
         # (A + A^T) / 2 would keep its bytes
         x_i = x[i].copy()
@@ -501,23 +500,24 @@ def _witness_window(
         x_hat = object.__new__(SymMatrix)
         x_hat.a = x_i
         z_i = z_dual[i].copy()
-        sols.append(
-            SdpSolution(
-                x_hat=x_hat,
-                objective=objective,
-                iterations=0,
-                primal_residual=0.0,
-                dual_residual=0.0,
-                gap=gap,
-                support=frozenset(idx[in_support[i]].tolist()),
-                converged=certified,
-                z_dual=z_i,
-                _state=(x_i, rhos[i] * z_i / beta, beta),
-            )
+        sol = SdpSolution(
+            x_hat=x_hat,
+            objective=objective,
+            iterations=0,
+            primal_residual=0.0,
+            dual_residual=0.0,
+            gap=gap,
+            support=frozenset(idx[in_support[i]].tolist()),
+            converged=ok,
+            z_dual=z_i,
+            _state=(x_i, rhos[i] * z_i / beta, beta),
         )
-        if not certified:
-            break
-    return sols
+        if not ok:
+            if not np.isfinite(sol._state[1]).all():
+                sol = certified[-1] if certified else prev
+            return certified, sol
+        certified.append(sol)
+    return certified, None
 
 
 def witness_certificate(

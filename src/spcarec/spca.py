@@ -84,6 +84,18 @@ def _baseline(m: SymMatrix, tol: float, max_iter: int) -> tuple[SdpSolution, flo
     return base_sol, baseline
 
 
+def _checked_grid(grid, a: float) -> tuple[float, ...]:
+    """The grid in ascending order, after checking it and the weight a."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("weight a must lie strictly between 0 and 1")
+    grid = tuple(sorted(float(r) for r in grid))
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    if grid[0] < 0 or not all(np.isfinite(grid)):
+        raise ValueError("grid values must be nonnegative finite reals")
+    return grid
+
+
 def _criterion_value(
     explained_rho: float, baseline: float, support_size: int, d: int, a: float
 ) -> float:
@@ -152,21 +164,15 @@ def tune_rho(
     4 points and doubles while every point certifies.
     """
     m = SymMatrix(m)
-    if not 0.0 < a < 1.0:
-        raise ValueError("weight a must lie strictly between 0 and 1")
-    grid = tuple(sorted(float(r) for r in grid))
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if grid[0] < 0 or not all(np.isfinite(grid)):
-        raise ValueError("grid values must be nonnegative finite reals")
-
+    grid = _checked_grid(grid, a)
     base_sol, baseline = _baseline(m, tol, max_iter)
-    # (converged, iterations, gap, <M, X>, support) of each grid point
+    # (converged, iterations, gap, criterion, support) of each grid point
     points = []
 
     def keep(sol):
         expl = _explained(m.a, sol.x_hat.a)
-        points.append((sol.converged, sol.iterations, sol.gap, expl, sol.support))
+        crit = _criterion_value(expl, baseline, len(sol.support), m.dim, a)
+        points.append((sol.converged, sol.iterations, sol.gap, crit, sol.support))
 
     prev, size, k = base_sol, _FIRST_WINDOW, 0
     while k < len(grid):
@@ -175,38 +181,24 @@ def tune_rho(
             k += 1
             continue
         rhos = grid[k : k + size]
-        sols = _witness_window(m.a, rhos, prev, tol)
-        c = sum(sol.converged for sol in sols)
-        for sol in sols[:c]:
-            keep(sol)
-            prev = sol
-        k += c
-        size = 2 * size if c == len(rhos) else _FIRST_WINDOW
-        if c < len(sols) or c == 0:
-            # the declined candidate, or prev when no witness was built
-            start = sols[c] if c < len(sols) else prev
-            # at a subnormal rho, w = M_{Jc,J} v / (rho ||v||_1) can
-            # overflow and leave the declined candidate's state not finite
-            if not np.isfinite(start._state[1]).all():
-                start = prev
+        certified, start = _witness_window(m.a, rhos, prev, tol)
+        # prev ends at the last certified point
+        for prev in certified:
+            keep(prev)
+        k += len(certified)
+        size = 2 * size if len(certified) == len(rhos) else _FIRST_WINDOW
+        if start is not None:
             prev = solve_sdp(m, grid[k], tol=tol, max_iter=max_iter, warm_start=start)
             keep(prev)
             k += 1
 
-    converged, iterations, gaps, explained, supports = zip(*points)
-    criteria = [
-        _criterion_value(expl, baseline, len(sup), m.dim, a)
-        for expl, sup in zip(explained, supports)
-    ]
-    best = 0
-    for k in range(1, len(grid)):
-        if criteria[k] >= criteria[best]:
-            best = k
+    converged, iterations, gaps, criteria, supports = zip(*points)
+    best = max(range(len(grid)), key=lambda k: (criteria[k], k))
     return TuningTrace(
         grid=grid,
-        criteria=tuple(criteria),
+        criteria=criteria,
         chosen_rho=grid[best],
-        supports=tuple(supports),
+        supports=supports,
         converged=converged,
         iterations=iterations,
         gaps=gaps,

@@ -36,6 +36,8 @@ from spcarec.harness import (
 from spcarec.numerics import SymMatrix, eigh, project_simplex
 from spcarec.sdp import kkt_report, solve_sdp, witness_certificate
 
+from helpers import _random_sym, _simple_top
+
 PITPROPS_PATH = Path(
     os.environ.get("SPCAREC_PITPROPS", Path(__file__).parent.parent / "data" / "pitprops.csv")
 )
@@ -45,20 +47,6 @@ def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     extra = f"  [{detail}]" if detail else ""
     print(f"\nACCEPTANCE {num:02d} {name}: {status}{extra}")
-
-
-def _random_sym(rng, d):
-    a = rng.standard_normal((d, d))
-    return SymMatrix(a + a.T)
-
-
-def _simple_top(rng, d, min_gap=0.5):
-    m = _random_sym(rng, d)
-    vals, vecs = np.linalg.eigh(m.a)
-    gap = vals[-1] - vals[-2]
-    if gap < min_gap:
-        m = SymMatrix(m.a + (min_gap - gap) * np.outer(vecs[:, -1], vecs[:, -1]))
-    return m
 
 
 def test_01_solver_accuracy_unpenalized():

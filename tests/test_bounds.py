@@ -22,9 +22,7 @@ from spcarec.graph import (
 )
 from spcarec.numerics import SymMatrix
 
-
-def _complete_with_loops(n):
-    return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
+from helpers import _complete_with_loops
 
 
 class TestTau:

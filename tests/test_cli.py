@@ -235,6 +235,17 @@ class TestExperiment:
         assert "budget must be in [0, n^2]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_gap_exit_code_with_unreachable_bucket(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "6", "--s", "2",
+            "--gap", "-1", "--budget", "20", "--buckets=-5:0", "--reps", "1",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "spectral gap must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_bucket_syntax(self, tmp_path):
         code = main(
             [

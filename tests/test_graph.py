@@ -32,9 +32,7 @@ from spcarec.numerics import SymMatrix, spectral_norm
 from spcarec.sdp import solve_restricted
 from spcarec.spca import theoretical_rho
 
-
-def _complete_with_loops(n):
-    return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
+from helpers import _complete_with_loops
 
 
 def _path3():

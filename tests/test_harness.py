@@ -28,9 +28,7 @@ from spcarec.harness import (
 )
 from spcarec.numerics import SymMatrix, eigh
 
-
-def _complete_with_loops(n):
-    return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
+from helpers import _complete_with_loops
 
 
 class TestGenInstance:
@@ -119,6 +117,28 @@ class TestRunBucketExperiment:
         )
         assert rows[0].skipped
         assert math.isnan(rows[0].exact_recovery_rate)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"s": 7}, "need 1 <= s <= d"),
+            ({"gap": -1.0}, "spectral gap must be positive"),
+            ({"sigma": -1.0}, "sigma must be a nonnegative finite real"),
+            ({"sigma": math.nan}, "sigma must be a nonnegative finite real"),
+            ({"a": 1.5}, "weight a must lie strictly between 0 and 1"),
+            ({"rho_grid": (-1.0,)}, "grid values must be nonnegative finite reals"),
+        ],
+        ids=["s", "gap", "sigma-negative", "sigma-nan", "a", "grid"],
+    )
+    def test_bad_input_rejected_before_sampling(self, bad, message):
+        # the bucket is unreachable, so an input checked only after a graph
+        # draw would end in a skipped row instead of the error
+        kwargs = dict(
+            d=6, s=2, gap=2.0, sigma=0.0, budget=20, buckets=[(-5.0, 0.0)],
+            reps=1, max_tries=3,
+        )
+        with pytest.raises(ValueError, match=message):
+            run_bucket_experiment(**{**kwargs, **bad})
 
     def test_csv_bytes_pinned(self, tmp_path):
         # SHA-256 of the emitted CSV, recorded before the experiment
@@ -321,6 +341,11 @@ class TestEmitCsv:
         assert back[0].exact_recovery_rate == 1.0
         assert back[1].mean_rescaled == 55.5
 
+    def test_parse_empty_file_rejected(self, tmp_path):
+        p = _write(tmp_path, "rows.csv", "")
+        with pytest.raises(MatrixParseError, match="^file is empty$"):
+            parse_rows_csv(p)
+
 
 def _synthetic_pitprops(tmp_path, header=True):
     """13x13 covariance with leading eigenvector on the classical 6 variables."""
@@ -392,6 +417,22 @@ class TestPitpropsExperiment:
             pitprops_experiment(
                 path, budget=100, buckets=[(-5.0, 0.0)], reps=1, max_tries=3,
                 method="bogus",
+            )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"sigma": -1.0}, "sigma must be a nonnegative finite real"),
+            ({"a": 1.5}, "weight a must lie strictly between 0 and 1"),
+            ({"rho_grid": (-1.0,)}, "grid values must be nonnegative finite reals"),
+        ],
+        ids=["sigma", "a", "grid"],
+    )
+    def test_bad_input_rejected_before_sampling(self, tmp_path, bad, message):
+        path = _synthetic_pitprops(tmp_path)
+        with pytest.raises(ValueError, match=message):
+            pitprops_experiment(
+                path, budget=100, buckets=[(-5.0, 0.0)], reps=1, max_tries=3, **bad
             )
 
     def test_incomplete_matrix_rejected(self, tmp_path):

@@ -16,10 +16,7 @@ from spcarec.numerics import (
     spectral_norm,
 )
 
-
-def _random_sym(rng, d):
-    a = rng.standard_normal((d, d))
-    return SymMatrix(a + a.T)
+from helpers import _random_sym
 
 
 class TestSymMatrix:

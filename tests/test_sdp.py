@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spcarec import spca
-from spcarec.graph import ObservationGraph, random_graph, random_graph_bucketed
-from spcarec.harness import (
-    DEFAULT_MAX_TRIES,
-    _child_seed,
-    gen_instance,
-)
+from spcarec.graph import random_graph
 from spcarec.numerics import (
     SymMatrix,
     _eigh_descending,
@@ -38,6 +33,8 @@ from spcarec.sdp import (
     support_of,
     witness_certificate,
 )
+
+from helpers import _complete_with_loops, _experiment_matrix, _random_sym, _simple_top
 
 
 # Reference implementations: the straightforward forms of the projections,
@@ -273,15 +270,26 @@ def _reference_path_witness(m, rho, prev, tol):
         return "sign", (x, z_full, math.nan, math.inf)
     if float(np.abs(w).max(initial=0.0)) > 1.0:
         return "offblock", (x, z_full, math.nan, math.inf)
-    objective, gap, certified = _certificate(m, rho, x, z_full, tol)
+    top = np.linalg.eigvalsh(m - rho * z_full)[-1]
+    objective, gap, certified = _certificate(m, rho, x, top, tol)
     return ("accepted" if certified else "gap"), (x, z_full, objective, gap)
+
+
+def _window_sols(prev, window):
+    """A window's (certified, start) as the points it built in grid order:
+    the certified ones, then start when it is the declined candidate
+    rather than a point the walk already had (the last certified one, or
+    prev)."""
+    certified, start = window
+    last = certified[-1] if certified else prev
+    return certified if start is None or start is last else certified + [start]
 
 
 def _witness_at(m, rho, prev, tol):
     """The path witness at one grid point, as a one-point window: the
     certified solution, else the declined candidate, else None when no
     witness was built."""
-    sols = _witness_window(m, (rho,), prev, tol)
+    sols = _window_sols(prev, _witness_window(m, (rho,), prev, tol))
     return sols[0] if sols else None
 
 
@@ -314,25 +322,6 @@ def _same_bytes(a, b):
 
 def _assert_weak_duality(sol):
     assert sol.gap >= -1e-10 * max(1.0, abs(sol.objective))
-
-
-def _complete_with_loops(n):
-    return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
-
-
-def _random_sym(rng, d):
-    a = rng.standard_normal((d, d))
-    return SymMatrix(a + a.T)
-
-
-def _simple_top(rng, d, min_gap=0.5):
-    """Random symmetric matrix whose top eigenvalue is simple by at least min_gap."""
-    m = _random_sym(rng, d)
-    vals, vecs = np.linalg.eigh(m.a)
-    gap = vals[-1] - vals[-2]
-    if gap < min_gap:
-        m = SymMatrix(m.a + (min_gap - gap) * np.outer(vecs[:, -1], vecs[:, -1]))
-    return m
 
 
 class TestSolveSdp:
@@ -529,18 +518,6 @@ class TestBitIdentity:
             assert sol._state[2] == ref["state"][2]
             _assert_weak_duality(sol)
             prev, ref_state = sol, ref["state"]
-
-
-def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
-    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
-    built the way the experiment harness builds it."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
-    support = np.sort(rng.choice(d, size=s, replace=False))
-    g = random_graph_bucketed(
-        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
-    )
-    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
-    return inst.m
 
 
 _TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
@@ -749,16 +726,10 @@ class TestSupportOf:
     def test_threshold_semantics(self):
         x = np.diag([0.999, 1e-9, 1e-12])
         x = x / np.trace(x)
-        assert support_of(SymMatrix(x), 1e-4) == {0}
+        assert support_of(SymMatrix(x)) == {0}
 
     def test_zero_diagonal(self):
         assert support_of(SymMatrix(np.zeros((3, 3)))) == frozenset()
-
-    def test_bad_threshold(self):
-        # an infinite threshold would make every support empty
-        for threshold in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="threshold must be a positive finite"):
-                support_of(SymMatrix(np.eye(2)), threshold)
 
 
 class TestSupportArrays:
@@ -1248,10 +1219,10 @@ def _walked_points(m, grid, tol):
     points, windows = [], []
 
     def window(m_a, rhos, prev, tol):
-        sols = _witness_window(m_a, rhos, prev, tol)
-        windows.append((prev, rhos, sols))
-        points.extend(_point(sol, None) for sol in sols if sol.converged)
-        return sols
+        certified, start = _witness_window(m_a, rhos, prev, tol)
+        windows.append((prev, rhos, _window_sols(prev, (certified, start))))
+        points.extend(_point(sol, None) for sol in certified)
+        return certified, start
 
     def solve(m, rho, warm_start=None, **kwargs):
         sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)

@@ -16,13 +16,8 @@ from spcarec.graph import (
     degrees,
     induced_subgraph,
     random_graph,
-    random_graph_bucketed,
 )
-from spcarec.harness import (
-    DEFAULT_MAX_TRIES,
-    _child_seed,
-    gen_instance,
-)
+from spcarec.harness import gen_instance
 from spcarec.numerics import SymMatrix, spectral_norm
 from spcarec.sdp import DEFAULT_TOL, _witness_window, kkt_report, solve_sdp
 from spcarec.spca import (
@@ -35,9 +30,7 @@ from spcarec.spca import (
     tune_rho,
 )
 
-
-def _complete_with_loops(n):
-    return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
+from helpers import _complete_with_loops, _experiment_matrix
 
 
 def _rank_one(d, idx, scale=5.0):
@@ -137,12 +130,11 @@ class TestTuneRho:
         witnesses = {}
 
         def record(m, rhos, prev, tol):
-            sols = _witness_window(m, rhos, prev, tol)
-            for rho, sol in zip(rhos, sols):
-                if sol.converged:
-                    x_hat = SymMatrix(sol.x_hat.a)
-                    witnesses[rho] = (x_hat, sol.z_dual, sol.objective, sol.gap)
-            return sols
+            certified, start = _witness_window(m, rhos, prev, tol)
+            for rho, sol in zip(rhos, certified):
+                x_hat = SymMatrix(sol.x_hat.a)
+                witnesses[rho] = (x_hat, sol.z_dual, sol.objective, sol.gap)
+            return certified, start
 
         monkeypatch.setattr(spca, "_witness_window", record)
         rng = np.random.default_rng(41)
@@ -203,18 +195,6 @@ class TestTuneRho:
         assert len(trace.gaps) == 3 and all(g >= -1e-10 for g in trace.gaps)
 
 
-def _experiment_matrix(d, s, gap, budget, bucket, seed, b, rep):
-    """The observed matrix of repetition `rep` of bucket `b` (sigma = 0),
-    built the way the experiment harness builds it."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, b, rep, 0)))
-    support = np.sort(rng.choice(d, size=s, replace=False))
-    g = random_graph_bucketed(
-        d, budget, support, *bucket, DEFAULT_MAX_TRIES, _child_seed(seed, b, rep, 1)
-    )
-    inst = gen_instance(d, s, gap, 0.0, g, _child_seed(seed, b, rep, 2), support=support)
-    return inst.m
-
-
 _TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
 
 
@@ -228,23 +208,23 @@ class TestFallbackWarmStart:
         """Run tune_rho and return, for each fallback it started from a
         declined witness, that solve and the same solve started from the
         previous grid point."""
-        prevs, witnesses, pairs = {}, {}, []
+        prevs, starts, pairs = {}, {}, []
 
         def witness(m_a, rhos, prev, tol):
             # the point after the certified ones: the walk's next fallback
-            # when the window declined it or built no witness there
-            sols = _witness_window(m_a, rhos, prev, tol)
-            c = sum(sol.converged for sol in sols)
-            if c < len(rhos):
-                prevs[rhos[c]] = sols[c - 1] if c else prev
-                witnesses[rhos[c]] = sols[c] if c < len(sols) else None
-            return sols
+            # when the window hands out a start for it
+            certified, start = _witness_window(m_a, rhos, prev, tol)
+            if start is not None:
+                rho = rhos[len(certified)]
+                prevs[rho] = certified[-1] if certified else prev
+                starts[rho] = start
+            return certified, start
 
         def solve(m, rho, warm_start=None, **kwargs):
             sol = solve_sdp(m, rho, warm_start=warm_start, **kwargs)
             if rho > 0:
-                assert warm_start is (witnesses[rho] or prevs[rho])
-                if witnesses[rho] is not None:
+                assert warm_start is starts[rho]
+                if starts[rho] is not prevs[rho]:
                     ref = solve_sdp(m, rho, warm_start=prevs[rho], **kwargs)
                     pairs.append((sol, ref))
             return sol
