@@ -8,6 +8,7 @@ printed output are 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -189,6 +190,8 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.check == "thm2":
+        if not 0.0 <= args.density <= 1.0:
+            raise MatrixParseError("density must be in [0, 1]")
         rng = np.random.default_rng(np.random.SeedSequence(args.pattern_seed))
         mask = rng.random((args.m, args.n)) < args.density
         pattern = bipartite_from_mask(mask)
@@ -314,9 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main builds its parser once per process (about 1 ms, a fifth of a d=20
+# experiment repetition); build_parser still returns a fresh one per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (MatrixParseError, ValueError, OSError) as exc:

@@ -289,6 +289,8 @@ def random_graph_bucketed(
     Draws with a disconnected block or undefined irregularity are rejected.
     Raises BucketExhausted after max_tries rejections.
     """
+    if max_tries < 1:
+        raise ValueError("max_tries must be at least 1")
     if not ratio_lo < ratio_hi:
         raise ValueError("need ratio_lo < ratio_hi")
     _check_graph_args(n, budget)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output, exit codes."""
 
 import argparse
+import inspect
 
 import numpy as np
 import pytest
@@ -357,6 +358,10 @@ class TestExperiment:
         assert {k: seen[k] for k in ("reps", "rho_grid", "a")} == {
             "reps": 3, "rho_grid": (0.1, 0.25, 0.4), "a": 0.3,
         }
+        # and back: main reuses one parser, which must not remember the flags
+        seen.clear()
+        assert main(argv) == 0
+        assert not seen.keys() & {"reps", "rho_grid", "a", "sigma"}
 
     def test_unset_a_is_the_library_default(self, tmp_path):
         # on this case a = 0.4, 0.5 and 0.6 give rates 1, 0.75 and 0.5
@@ -404,6 +409,46 @@ class TestExperiment:
         assert method.default in _METHODS
 
 
+class TestParserReuse:
+    """main parses with one parser per process; no call may leak into the next."""
+
+    def test_build_parser_stays_a_plain_function(self):
+        # the benchmark's tracer wraps build_parser only while this holds
+        assert inspect.isfunction(cli.build_parser)
+        assert build_parser() is not build_parser()
+
+    def test_parse_error_leaves_the_parser_clean(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "2",
+            "--grid-start", "0.1", "--grid-stop", "0.4", "--grid-step", "0.15",
+            "--seed", "5",
+        ]
+        assert main(argv + ["--out", str(tmp_path / "first.csv")]) == 0
+        no_buckets = ["experiment", "--mode", "synthetic"]
+        bad_d = argv + ["--d", "twelve"]
+        for bad in (no_buckets, bad_d):
+            with pytest.raises(SystemExit) as exc:
+                main(bad + ["--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert main(argv + ["--out", str(tmp_path / "again.csv")]) == 0
+        first = (tmp_path / "first.csv").read_bytes()
+        assert (tmp_path / "again.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("command", [[], ["experiment"]], ids=["top", "experiment"])
+    def test_help_is_the_same_on_every_call(self, capsys, command):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: spcarec")
+
+
 class TestBounds:
     def test_thm3(self, capsys):
         code = main(["bounds", "--check", "thm3", "--n", "6", "--cases", "20"])
@@ -425,3 +470,11 @@ class TestBounds:
         assert captured == (
             "t=4  bound=2.16536  empirical=0.093  trials=1000  holds=True\n"
         )
+
+    @pytest.mark.parametrize("density", ["nan", "-0.5", "1.5", "inf"])
+    def test_thm2_density_not_a_probability_exit_code(self, capsys, density):
+        code = main(["bounds", "--check", "thm2", "--density", density, "--trials", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: density must be in [0, 1]" in captured.err
+        assert captured.out == ""

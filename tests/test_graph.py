@@ -264,6 +264,12 @@ class TestRandomGraphBucketed:
         with pytest.raises(ValueError, match="node count must be positive"):
             random_graph_bucketed(0, 0, [0], 0.0, np.inf, 5, 0)
 
+    @pytest.mark.parametrize("max_tries", [0, -1])
+    def test_max_tries_below_one_rejected(self, max_tries):
+        # with no draw allowed the bucket could only ever be exhausted
+        with pytest.raises(ValueError, match="max_tries must be at least 1"):
+            random_graph_bucketed(8, 40, [0, 1, 2], 0.0, np.inf, max_tries, 4)
+
     def test_deterministic(self):
         a = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)
         b = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)

@@ -127,8 +127,11 @@ class TestRunBucketExperiment:
             ({"sigma": math.nan}, "sigma must be a nonnegative finite real"),
             ({"a": 1.5}, "weight a must lie strictly between 0 and 1"),
             ({"rho_grid": (-1.0,)}, "grid values must be nonnegative finite reals"),
+            ({"max_tries": 0}, "max_tries must be at least 1"),
+            ({"max_tries": -1}, "max_tries must be at least 1"),
         ],
-        ids=["s", "gap", "sigma-negative", "sigma-nan", "a", "grid"],
+        ids=["s", "gap", "sigma-negative", "sigma-nan", "a", "grid", "max-tries-0",
+             "max-tries-negative"],
     )
     def test_bad_input_rejected_before_sampling(self, bad, message):
         # the bucket is unreachable, so an input checked only after a graph
