@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Count the ADMM iterations that three fixed solve batteries take.
+"""Count the ADMM iterations that three fixed solve batteries and one
+completion battery take.
 
     PYTHONPATH=src python3 scripts/admm_iterations.py
 
@@ -27,6 +28,13 @@ alone.  The batteries are:
   by ``perfbench/workloads.py``'s ``SolveD200``.  Each solve is checked by
   its certificate: it converged, its relative certified gap is <= tol, its
   KKT stationarity is <= 1e-5, and its support equals the reference.
+* ``completion``: the nuclear-norm completions of the first 20 ops of the
+  benchmark's ``diagnose-hard`` workload at its reference seed (d=50,
+  budget 1250), run by ``perfbench/workloads.py``'s ``DiagnoseHard``.  It
+  prints the total completion iterations, how many completions stopped
+  certified (residual test and relative dual gap <= tol), the worst
+  relative gap, and how many of the 20 ops pass the workload's check and
+  equal the recorded reference.
 
 ``perfbench/`` is only read and imported from.  The script exits 1 when
 any solve in any battery stops at max_iter without converging, when any
@@ -50,6 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+import spcarec.baselines as baselines  # noqa: E402
 import spcarec.sdp as sdp  # noqa: E402
 import spcarec.spca as spca  # noqa: E402
 from spcarec import cli  # noqa: E402
@@ -60,7 +69,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.json"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import REFERENCE_SEED, SolveD200  # noqa: E402
+from workloads import REFERENCE_SEED, DiagnoseHard, SolveD200  # noqa: E402
 
 
 class _Recorder:
@@ -192,9 +201,41 @@ def solve_d200() -> tuple[str, bool]:
     return line, passed
 
 
+def completion() -> tuple[str, bool]:
+    """The battery's summary line and whether every completion stopped
+    certified and every op passed its check and reference."""
+    pool = json.loads(REFERENCE.read_text())["diagnose-hard"]
+    workload = DiagnoseHard(REFERENCE_SEED, "", pool)
+    runs = []
+    complete = baselines._complete_nuclear
+
+    def recorded(m, observed, tol, max_iter):
+        y, info = complete(m, observed, tol, max_iter)
+        upper = float(np.abs(np.linalg.eigvalsh(y)).sum())
+        runs.append((info["iterations"], info["converged"], info["gap"] / max(1.0, upper)))
+        return y, info
+
+    good = 0
+    baselines._complete_nuclear = recorded
+    try:
+        for k in range(20):
+            out = workload.summarize(workload.op(k))
+            good += not workload.check(out) and not workload.compare(out, pool[k])
+    finally:
+        baselines._complete_nuclear = complete
+    certified = sum(1 for _, c, _ in runs if c)
+    line = (
+        f"completion: {len(runs)} diagnose-hard completions, "
+        f"{sum(n for n, _, _ in runs)} iterations, {certified} certified, "
+        f"worst relative gap {max(g for _, _, g in runs):.2e}, "
+        f"ops passing check and reference {good}/20"
+    )
+    return line, certified == len(runs) and good == 20
+
+
 def main() -> int:
     ok = True
-    for battery in (acceptance_02, mc_easy, solve_d200):
+    for battery in (acceptance_02, mc_easy, solve_d200, completion):
         line, passed = battery()
         print(line, flush=True)
         ok &= passed

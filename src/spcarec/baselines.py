@@ -22,7 +22,7 @@ from .numerics import (
     _check_positive_finite,
     _soft_threshold_arr,
 )
-from .sdp import SdpSolution, solve_sdp
+from .sdp import SdpSolution, _Anderson, solve_sdp
 
 __all__ = [
     "BaselineResult",
@@ -64,7 +64,8 @@ def itspca(
     """Power iteration with entrywise soft thresholding of the iterate.
 
     Starts from the normalized all-ones vector.  Raises ThresholdTooLarge
-    if the iterate collapses to zero.
+    if the iterate collapses to zero.  A run that stops at max_iter returns
+    its support with `converged` False in the diagnostics.
     """
     m = SymMatrix(m)
     _check_nonnegative_finite(threshold, "threshold")
@@ -92,7 +93,12 @@ def itspca(
     support = frozenset(int(i) for i in np.nonzero(v)[0])
     return BaselineResult(
         support=support,
-        diagnostics={"threshold": threshold, "iterations": it, "delta": float(delta)},
+        diagnostics={
+            "threshold": threshold,
+            "iterations": it,
+            "delta": float(delta),
+            "converged": delta <= tol,
+        },
     )
 
 
@@ -116,35 +122,54 @@ def _complete_nuclear(
     max_iter: int,
 ) -> tuple[np.ndarray, dict]:
     """ADMM (penalty 1) with singular-value thresholding for
-    min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool).
+    min ||W||_*  s.t.  W symmetric, W agrees with m where `observed` (bool),
+    as a fixed-point map of the Douglas-Rachford variable s = y + u
+    extrapolated by the solver's Anderson acceleration.
 
-    m and `observed` must be exactly symmetric.  Every iterate then stays
-    exactly symmetric, so the thresholding step is one symmetric
-    eigendecomposition (`_svt`) and w + u is already the projection onto
-    symmetric matrices.
+    y = P(s) pins the observed entries, u = s - y, w = _svt(y - u, 1) and
+    the plain image is f = w + u.  m and `observed` must be exactly
+    symmetric; the extrapolated s is symmetrized, so every iterate is
+    exactly symmetric and the thresholding step is one symmetric
+    eigendecomposition.  A run converges when the residual
+    max(|w - y|_max, |y - y_old|_max) <= tol and the certified gap is
+    <= tol max(1, ||Y||_*); the gap is evaluated once the residual test
+    holds, and on the last iteration.
     """
     _check_positive_finite(tol, "tol")
     _check_max_iter(max_iter)
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)
-    residual = np.inf
-    it = 0
+    s = y
+    pinned = m[observed]
+    aa = _Anderson(y.size)
     for it in range(1, max_iter + 1):
         w = _svt(y - u, 1.0)
-        # projection onto {symmetric, observed entries pinned}
-        y_new = w + u
-        y_new[observed] = m[observed]
-        u = u + w - y_new
-        residual = max(
-            float(np.abs(w - y_new).max()), float(np.abs(y_new - y).max())
-        )
-        y = y_new
-        if residual <= tol:
-            break
+        s = aa.step(s, w + u)
+        # gamma @ dF need not round to a symmetric sum; 0.5 (s + s^T)
+        # leaves an exactly symmetric s as it is
+        s = 0.5 * (s + s.T)
+        y_old = y
+        y = s.copy()
+        y[observed] = pinned
+        u = s - y
+        residual = max(float(np.abs(w - y).max()), float(np.abs(y - y_old).max()))
+        residual_ok = residual <= tol
+        if residual_ok or it == max_iter:
+            # the certified gap ||Y||_* - <M_Omega, Lambda>: the dual
+            # Lambda = -u / max(1, ||u||_2) vanishes off the observed set,
+            # where y agrees with m, so <M_Omega, Lambda> = <Y, Lambda> is a
+            # lower bound on the least nuclear norm (weak duality)
+            lam = u / -max(1.0, float(np.abs(np.linalg.eigvalsh(u)).max()))
+            upper = float(np.abs(np.linalg.eigvalsh(y)).sum())
+            gap = upper - float(y.ravel().dot(lam.ravel()))
+            converged = residual_ok and gap <= tol * max(1.0, upper)
+            if converged:
+                break
     info = {
         "iterations": it,
         "residual": residual,
-        "converged": residual <= tol,
+        "gap": gap,
+        "converged": converged,
         "observed_violation": float(np.abs((y - m)[observed]).max(initial=0.0)),
     }
     return y, info
@@ -182,7 +207,11 @@ def mc_then_sdp(
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> BaselineResult:
-    """Nuclear-norm completion followed by the penalized spectrahedron solve."""
+    """Nuclear-norm completion followed by the penalized spectrahedron solve.
+
+    `completion_converged` means the completion's residual test passed and
+    its certified gap `completion_gap` is <= tol max(1, ||Y||_*).
+    """
     m = _checked_observation(m, g)
     y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
     sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
@@ -191,6 +220,7 @@ def mc_then_sdp(
         diagnostics={
             "completion_iterations": info["iterations"],
             "completion_residual": info["residual"],
+            "completion_gap": info["gap"],
             "completion_converged": info["converged"],
             "solver_iterations": sol.iterations,
             "solver_converged": sol.converged,

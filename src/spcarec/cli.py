@@ -192,6 +192,9 @@ def _cmd_bounds(args) -> int:
     if args.check == "thm2":
         if not 0.0 <= args.density <= 1.0:
             raise MatrixParseError("density must be in [0, 1]")
+        for flag in ("m", "n"):
+            if getattr(args, flag) < 1:
+                raise MatrixParseError(f"--{flag} must be at least 1")
         rng = np.random.default_rng(np.random.SeedSequence(args.pattern_seed))
         mask = rng.random((args.m, args.n)) < args.density
         pattern = bipartite_from_mask(mask)
@@ -206,6 +209,8 @@ def _cmd_bounds(args) -> int:
             f"trials={check.trials}  holds={check.holds}"
         )
         return _EXIT_OK
+    if args.cases < 1:
+        raise MatrixParseError("--cases must be at least 1")
     worst = None
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     done = 0
@@ -225,8 +230,7 @@ def _cmd_bounds(args) -> int:
         if worst is None or margin < worst[0]:
             worst = (margin, lhs, rhs, holds)
     if worst is None:
-        print("no valid cases sampled")
-        return _EXIT_PARSE
+        raise ValueError(f"no valid cases sampled in {attempts} attempts")
     print(
         f"cases={done}  tightest margin={worst[0]:.6g} "
         f"(lhs={worst[1]:.6g}, rhs={worst[2]:.6g})  all_hold={worst[3]}"

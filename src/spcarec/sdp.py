@@ -67,6 +67,73 @@ _AA_SAFEGUARD = 2.0
 _AA_RIDGE = 1e-10
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration (Walker & Ni 2011) of a
+    fixed-point map s -> f(s) on arrays of n entries.
+
+    It keeps the differences of the plain image f and of the fixed-point
+    residual g = f - s between consecutive accepted points, in ring slots,
+    with the Gram matrix of the g differences updated one row per push.
+    The type-II step is s = f - (dS + dG) gamma = f - dF gamma, where gamma
+    minimizes |g - dG gamma|^2 + _AA_RIDGE |g|^2 |gamma|^2.  `rejected`
+    counts the extrapolated points the safeguard dropped and `resets` the
+    resets that emptied a nonempty history.
+    """
+
+    __slots__ = ("dfv", "dgv", "gram", "filled", "slot", "f_acc", "g_acc",
+                 "gn_acc", "extrapolated", "rejected", "resets")
+
+    def __init__(self, n: int):
+        self.dfv = np.zeros((_AA_MEMORY, n))
+        self.dgv = np.zeros((_AA_MEMORY, n))
+        self.gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
+        self.filled = self.slot = self.rejected = self.resets = 0
+        self.f_acc = None
+        self.extrapolated = False
+
+    def reset(self) -> None:
+        """Empty the history: the next point starts it afresh."""
+        self.resets += self.filled > 0
+        self.f_acc = None
+        self.filled = self.slot = 0
+        self.extrapolated = False
+
+    def step(self, s: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The next point after s, whose plain image is f."""
+        g = f - s
+        gv = g.ravel()
+        # sqrt(v.v) is what np.linalg.norm computes, without its dispatch
+        gn = math.sqrt(gv.dot(gv))
+        if self.extrapolated and gn > _AA_SAFEGUARD * self.gn_acc:
+            # safeguard: drop the extrapolated point and take the plain
+            # step from the last accepted one
+            self.rejected += 1
+            self.extrapolated = False
+            return self.f_acc
+        dfv, dgv, filled, slot = self.dfv, self.dgv, self.filled, self.slot
+        if self.f_acc is not None:
+            np.subtract(f.ravel(), self.f_acc.ravel(), out=dfv[slot])
+            np.subtract(gv, self.g_acc, out=dgv[slot])
+            filled = self.filled = min(filled + 1, _AA_MEMORY)
+            # einsum, not a BLAS product: each entry is then the same
+            # sum as dg_i . dg_j on its own, whatever the slot
+            row = np.einsum("ij,j->i", dgv[:filled], dgv[slot])
+            self.gram[slot, :filled] = row
+            self.gram[:filled, slot] = row
+            self.slot = (slot + 1) % _AA_MEMORY
+        self.f_acc, self.g_acc, self.gn_acc = f, gv, gn
+        if not filled:
+            return f
+        gk = self.gram[:filled, :filled].copy()
+        gk.flat[:: filled + 1] += _AA_RIDGE * gn * gn
+        try:
+            gamma = np.linalg.solve(gk, dgv[:filled] @ gv)
+        except np.linalg.LinAlgError:
+            return f
+        self.extrapolated = True
+        return f - (gamma @ dfv[:filled]).reshape(f.shape)
+
+
 @dataclass(eq=False)
 class SdpSolution:
     """Solver output: optimizer, diagnostics, and the recovered support."""
@@ -121,22 +188,9 @@ def _admm(
         y, u, beta = state
     # the Douglas-Rachford variable: y = soft(s, rho / beta) and u = s - y
     s = y + u
-
-    # Anderson history: differences of the plain image f(s) = x + u and of
-    # the fixed-point residual g = f(s) - s between consecutive accepted
-    # points, in ring slots, with the Gram matrix of the g differences
-    # updated one row per push.  The type-II step is
-    # s = f - (dS + dG) gamma = f - dF gamma, where gamma minimizes
-    # |g - dG gamma|^2 + _AA_RIDGE |g|^2 |gamma|^2
-    df = np.zeros((_AA_MEMORY, d, d))
-    dg = np.zeros((_AA_MEMORY, d, d))
-    dfv = df.reshape(_AA_MEMORY, d * d)
-    dgv = dg.reshape(_AA_MEMORY, d * d)
-    gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
-    filled = slot = 0
-    # the last accepted point's image and residual (its norm is gn_acc)
-    f_acc = g_acc = None
-    extrapolated = False
+    # s is extrapolated by Anderson acceleration; a rebalance empties its
+    # history
+    aa = _Anderson(d * d)
 
     # Frobenius norms are sqrt(v.v) on the raveled array, which is what
     # np.linalg.norm computes, without its dispatch
@@ -148,37 +202,7 @@ def _admm(
     for iterations in range(1, max_iter + 1):
         x = _project_spectrahedron_arr(y - u + m_beta)
         f = x + u
-        g = f - s
-        gv = g.ravel()
-        gn = sqrt(gv.dot(gv))
-        if extrapolated and gn > _AA_SAFEGUARD * gn_acc:
-            # safeguard: drop the extrapolated point and take the plain
-            # step from the last accepted one
-            s = f_acc
-            extrapolated = False
-        else:
-            if f_acc is not None:
-                np.subtract(f, f_acc, out=df[slot])
-                np.subtract(g, g_acc, out=dg[slot])
-                filled = min(filled + 1, _AA_MEMORY)
-                # einsum, not a BLAS product: each entry is then the same
-                # sum as dg_i . dg_j on its own, whatever the slot
-                row = np.einsum("ij,j->i", dgv[:filled], dgv[slot])
-                gram[slot, :filled] = row
-                gram[:filled, slot] = row
-                slot = (slot + 1) % _AA_MEMORY
-            f_acc, g_acc, gn_acc = f, g, gn
-            s = f
-            if filled:
-                gk = gram[:filled, :filled].copy()
-                gk.flat[:: filled + 1] += _AA_RIDGE * gn * gn
-                try:
-                    gamma = np.linalg.solve(gk, dgv[:filled] @ gv)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    s = f - (gamma @ dfv[:filled]).reshape(d, d)
-                    extrapolated = True
+        s = aa.step(s, f)
         y_old = y
         y = _soft_threshold_arr(s, t)
         u = s - y
@@ -215,9 +239,7 @@ def _admm(
         rebalanced_at = iterations
         # the rescaled u moves s onto another map: restart the history there
         s = y + u
-        f_acc = None
-        filled = slot = 0
-        extrapolated = False
+        aa.reset()
 
     x_hat = SymMatrix(x)
     return SdpSolution(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spcarec import baselines
 from spcarec.baselines import (
     _complete_nuclear,
     _svt,
@@ -16,6 +17,7 @@ from spcarec.baselines import (
 from spcarec.errors import ThresholdTooLarge
 from spcarec.graph import ObservationGraph, adjacency, graph_from_mask, random_graph
 from spcarec.numerics import SymMatrix, eigh
+from spcarec.sdp import _Anderson
 from spcarec.spca import recover_support
 
 from helpers import _complete_with_loops
@@ -96,6 +98,16 @@ class TestItspca:
     def test_spike_recovery(self):
         res = itspca(_spike(9, [0, 3, 5]), threshold=0.4)
         assert res.support == {0, 3, 5}
+        assert res.diagnostics["converged"]
+
+    def test_stop_at_max_iter_reported(self):
+        # eigenvalues 1 and -1 of equal magnitude: the iterate flips between
+        # (1, 1) and (1, -1) / sqrt(2) and never settles
+        res = itspca(SymMatrix(np.diag([1.0, -1.0])), 0.0, max_iter=50)
+        assert res.diagnostics["iterations"] == 50
+        assert res.diagnostics["delta"] > 1e-8
+        assert res.diagnostics["converged"] is False
+        assert res.support == {0, 1}
 
 
 def _loop_itspca(a, threshold, max_iter=1000, tol=1e-8):
@@ -146,6 +158,7 @@ class TestItspcaMatchesLoop:
         res = itspca(m, threshold, max_iter=max_iter)
         got = (res.support, res.diagnostics["iterations"], res.diagnostics["delta"])
         assert got == expected
+        assert res.diagnostics["converged"] == (expected[2] <= 1e-8)
         assert type(res.diagnostics["delta"]) is float
 
 
@@ -287,6 +300,94 @@ class TestCompleteNuclear:
         assert np.array_equal(y[mask], m.a[mask])
         assert info["observed_violation"] == 0.0
         assert 1 <= info["iterations"] <= max_iter
+        # weak duality: the dual bound ||Y||_* - gap is at most the upper
+        # bound ||Y||_* at every stop, up to the rounding of two eigenvalue
+        # sums and a dot product over at most 400 entries
+        upper = float(np.abs(np.linalg.eigvalsh(y)).sum())
+        assert info["gap"] >= -1e-12 * max(1.0, upper)
+        if info["converged"]:
+            assert info["gap"] <= 1e-6 * max(1.0, upper)
+
+
+def _plain_completion(m, observed, tol, max_iter):
+    """The completion loop before Anderson acceleration, kept as the
+    reference: penalty-1 ADMM with singular-value thresholding that stops
+    on the residual alone.  Returns (y, iterations, converged)."""
+    y = np.where(observed, m, 0.0)
+    u = np.zeros_like(y)
+    for it in range(1, max_iter + 1):
+        w = _svt(y - u, 1.0)
+        y_new = w + u
+        y_new[observed] = m[observed]
+        u = u + w - y_new
+        residual = max(np.abs(w - y_new).max(), np.abs(y_new - y).max())
+        y = y_new
+        if residual <= tol:
+            return y, it, True
+    return y, max_iter, False
+
+
+def _completion_inputs():
+    """Exactly symmetric (m, observed) pairs: rank 1, rank 3 and full-rank
+    truths at two densities."""
+    for d in (6, 13, 20, 50):
+        for rank in (1, 3, None):
+            for density in (0.5, 0.8):
+                rng = np.random.default_rng([d, rank or 0, int(10 * density)])
+                if rank is None:
+                    a = rng.standard_normal((d, d))
+                    m_star = a + a.T
+                else:
+                    v = rng.standard_normal((d, rank))
+                    m_star = (v * rng.choice([-1.0, 1.0], rank)) @ v.T
+                    m_star = 0.5 * (m_star + m_star.T)
+                mask = np.triu(rng.random((d, d)) < density)
+                mask = mask | mask.T
+                yield np.where(mask, m_star, 0.0), mask
+
+
+class TestAcceleratedCompletion:
+    def test_nuclear_norm_matches_plain_loop(self):
+        for m, mask in _completion_inputs():
+            ref, _, ref_converged = _plain_completion(m, mask, 1e-6, 20000)
+            y, info = _complete_nuclear(m, mask, 1e-6, 20000)
+            assert ref_converged and info["converged"]
+            want = np.abs(np.linalg.eigvalsh(ref)).sum()
+            got = np.abs(np.linalg.eigvalsh(y)).sum()
+            assert abs(got - want) <= 1e-6 * max(1.0, want)
+
+    def test_reaches_anderson_safeguard(self, monkeypatch):
+        # the completion's map never changes, so it never empties its
+        # history; the reset path is reached through solve_sdp's rebalances
+        # (tests/test_sdp.py::test_anderson_helper_reaches_safeguard_and_reset)
+        made = []
+
+        class Recorded(_Anderson):
+            def __init__(self, n):
+                super().__init__(n)
+                made.append(self)
+
+        monkeypatch.setattr(baselines, "_Anderson", Recorded)
+        for m, mask in _completion_inputs():
+            _complete_nuclear(m, mask, 1e-6, 20000)
+        assert sum(aa.rejected for aa in made) > 0
+        assert sum(aa.resets for aa in made) == 0
+
+    def test_symmetric_when_the_step_is_not(self, monkeypatch):
+        # gamma @ dF need not round to a symmetric sum on every BLAS: an
+        # extrapolated point off by an antisymmetric last-bit error must
+        # still leave every iterate exactly symmetric
+        class Skewed(_Anderson):
+            def step(self, s, f):
+                nxt = super().step(s, f)
+                skew = np.triu(np.full(nxt.shape, 1e-15), 1)
+                return nxt + skew - skew.T
+
+        monkeypatch.setattr(baselines, "_Anderson", Skewed)
+        for m, mask in _completion_inputs():
+            y, info = _complete_nuclear(m, mask, 1e-6, 20000)
+            assert np.array_equal(y, y.T)
+            assert np.array_equal(y[mask], m[mask])
 
 
 class TestMcThenSdp:
@@ -324,3 +425,15 @@ class TestMcThenSdp:
         res = mc_then_sdp(m, g, 0.2)
         assert res.support <= set(range(8))
         assert "completion_residual" in res.diagnostics
+        assert res.diagnostics["completion_gap"] >= 0.0
+
+    def test_capped_completion_not_converged(self):
+        # one iteration passes neither the residual test nor the certificate
+        rng = np.random.default_rng(98)
+        a = rng.standard_normal((8, 8))
+        mask = np.triu(rng.random((8, 8)) < 0.5)
+        mask = mask | mask.T
+        m = SymMatrix(np.where(mask, a + a.T, 0.0))
+        res = mc_then_sdp(m, graph_from_mask(mask), 0.2, max_iter=1)
+        assert not res.diagnostics["completion_converged"]
+        assert res.diagnostics["completion_gap"] > 1e-6

@@ -8,6 +8,7 @@ import pytest
 
 from spcarec import cli, harness
 from spcarec.cli import build_parser, main
+from spcarec.errors import Disconnected
 from spcarec.graph import random_graph
 from spcarec.harness import (
     _METHODS,
@@ -477,4 +478,37 @@ class TestBounds:
         assert code == 2
         captured = capsys.readouterr()
         assert "error: density must be in [0, 1]" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "dims, flag",
+        [(["--m", "0", "--n", "0"], "--m"), (["--m", "-1"], "--m"), (["--n", "0"], "--n")],
+    )
+    def test_thm2_dimension_below_one_exit_code(self, capsys, dims, flag):
+        # --m 0 --n 0 used to fail in math.log with "math domain error", and
+        # --m -1 with numpy's negative-dimensions message
+        code = main(["bounds", "--check", "thm2", *dims, "--trials", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be at least 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cases", ["0", "-2"])
+    def test_thm3_cases_below_one_exit_code(self, capsys, cases):
+        # used to print "no valid cases sampled" to stdout
+        code = main(["bounds", "--check", "thm3", "--cases", cases])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --cases must be at least 1\n"
+        assert captured.out == ""
+
+    def test_thm3_no_valid_case_exit_code(self, capsys, monkeypatch):
+        def disconnected(*args):
+            raise Disconnected("always")
+
+        monkeypatch.setattr(cli, "masking_difference_check", disconnected)
+        code = main(["bounds", "--check", "thm3", "--cases", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no valid cases sampled in 200 attempts\n"
         assert captured.out == ""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spcarec import spca
+from spcarec import sdp, spca
 from spcarec.graph import random_graph
 from spcarec.numerics import (
     SymMatrix,
@@ -518,6 +518,27 @@ class TestBitIdentity:
             assert sol._state[2] == ref["state"][2]
             _assert_weak_duality(sol)
             prev, ref_state = sol, ref["state"]
+
+
+def test_anderson_helper_reaches_safeguard_and_reset(monkeypatch):
+    # the bit-identity battery drives the helper itself through both
+    # paths: a dropped extrapolation and a rebalance that empties a
+    # nonempty history
+    made = []
+
+    class Recorded(sdp._Anderson):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(sdp, "_Anderson", Recorded)
+    for d in _BIT_DS:
+        for rho in _BIT_RHOS:
+            m = _bit_identity_input(d, rho)
+            prev = solve_sdp(m, rho)
+            solve_sdp(m, rho + 0.05, warm_start=prev)
+    assert sum(aa.rejected for aa in made) > 0
+    assert sum(aa.resets for aa in made) > 0
 
 
 _TREND_GRID = tuple(round(0.1 * k, 6) for k in range(1, 11))
