@@ -14,9 +14,10 @@ alone.  The batteries are:
 * ``mc-easy``: the 200 repetitions of the benchmark's ``mc-easy`` pool
   (``spcarec experiment`` at d=20, s=4, gap 8, sigma 0, budget 200,
   bucket 0:2, one repetition each), with the experiment seeds read from
-  ``perfbench/reference.json``.  It also counts how many CSVs equal the
-  recorded reference bytes, how many of the rho > 0 grid points the
-  rank-one path witness certified without an ADMM solve, in how many
+  ``perfbench/reference.json`` and each repetition run by
+  ``perfbench/workloads.py``'s ``McEasy``.  It also counts how many CSVs
+  equal the recorded reference bytes, how many of the rho > 0 grid points
+  the rank-one path witness certified without an ADMM solve, in how many
   witness windows (stacked evaluations over consecutive grid points), and
   how many of the remaining points' ADMM fallbacks started from the
   declined witness rather than from the previous grid point.
@@ -45,8 +46,6 @@ in the benchmark, before numpy is imported.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import sys
@@ -61,7 +60,6 @@ import numpy as np  # noqa: E402
 import spcarec.baselines as baselines  # noqa: E402
 import spcarec.sdp as sdp  # noqa: E402
 import spcarec.spca as spca  # noqa: E402
-from spcarec import cli  # noqa: E402
 from spcarec.graph import adjacency, random_graph  # noqa: E402
 from spcarec.numerics import SymMatrix  # noqa: E402
 
@@ -69,7 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.json"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import REFERENCE_SEED, DiagnoseHard, SolveD200  # noqa: E402
+from workloads import REFERENCE_SEED, DiagnoseHard, McEasy, SolveD200  # noqa: E402
 
 
 class _Recorder:
@@ -138,17 +136,7 @@ def mc_easy() -> tuple[str, bool]:
     with _Recorder() as rec, tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "rows.csv")
         for member in pool:
-            argv = [
-                "experiment", "--mode", "synthetic", "--d", "20", "--s", "4",
-                "--gap", "8", "--sigma", "0", "--budget", "200",
-                "--buckets", "0:2", "--reps", "1",
-                "--seed", str(member["seed"]), "--out", out,
-            ]
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"experiment failed for seed {member['seed']}")
-            with open(out, newline="") as fh:
-                same += fh.read() == member["csv"]
+            same += McEasy.experiment(member["seed"], out)["csv"] == member["csv"]
     fallbacks = rec.tried - rec.certified
     extra = (
         f", CSV equal to reference {same}/{len(pool)}, "

@@ -165,14 +165,9 @@ def _complete_nuclear(
             converged = residual_ok and gap <= tol * max(1.0, upper)
             if converged:
                 break
-    info = {
-        "iterations": it,
-        "residual": residual,
-        "gap": gap,
-        "converged": converged,
-        "observed_violation": float(np.abs((y - m)[observed]).max(initial=0.0)),
+    return y, {
+        "iterations": it, "residual": residual, "gap": gap, "converged": converged
     }
-    return y, info
 
 
 def _checked_observation(m, g: ObservationGraph) -> SymMatrix:

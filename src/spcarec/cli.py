@@ -211,6 +211,8 @@ def _cmd_bounds(args) -> int:
         return _EXIT_OK
     if args.cases < 1:
         raise MatrixParseError("--cases must be at least 1")
+    if args.n < 2:
+        raise MatrixParseError("--n must be at least 2")
     worst = None
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     done = 0

@@ -469,7 +469,8 @@ def _witness_window(
     finite; otherwise, as when z has a zero entry and no candidate is
     built, the last certified point, or prev.  Each point's warm-start
     state is (X, rho Z / beta, beta) with beta from prev, the ADMM fixed
-    point when the witness is certified.  Requires every rho > 0.
+    point when the witness is certified; its X and Z are read-only views
+    of the window's stacks.  Requires every rho > 0.
 
     A window depends on prev alone, so tune_rho may size windows freely:
     it doubles a window while every point certifies.
@@ -484,45 +485,44 @@ def _witness_window(
 
     vecs = np.linalg.eigh(m[idx[:, None], idx] - rho[:, None, None] * np.outer(z, z))[1]
     v_top = vecs[:, :, -1]
-    # sign(v) == z after orienting v along z exactly when sign(v) == +-z
-    signs = np.sign(v_top)
-    sign_ok = np.all(signs == z, axis=1) | np.all(signs == -z, axis=1)
+    # sign(v) == z after orienting v along z exactly when sign(v) == +-z,
+    # that is when |sign(v) . z| = |J|
+    sign_ok = np.abs(np.sign(v_top) @ z) == z.size
     dg = v_top * v_top
     in_support = dg > SUPPORT_THRESHOLD * dg.max(axis=1, keepdims=True)
-    goes_on = sign_ok & np.all(in_support, axis=1)
-
     m_cj = m[comp[:, None], idx]
-    ws = []
-    for i in range(rho.size):
-        ws.append(_offblock(m_cj, v_top[i], z, rhos[i]))
-        passed = bool(sign_ok[i]) and float(np.abs(ws[i]).max(initial=0.0)) <= 1.0
-        if not (passed and goes_on[i]):
-            break
-    p = len(ws)
+    ws = np.array([_offblock(m_cj, v, z, r) for v, r in zip(v_top, rhos)])
+    passed = sign_ok & (np.abs(ws).max(axis=1, initial=0.0) <= 1.0)
+    # p points are built: up to the first that is declined or drops part
+    # of J, or the whole window; the first q of them passed and get a gap
+    stops = ~(passed & np.all(in_support, axis=1))
+    stops[-1] = True
+    p = int(stops.argmax()) + 1
+    q = p if passed[p - 1] else p - 1
+
     r = np.empty((p, d))
     r[:, idx] = z
-    r[:, comp] = ws
+    r[:, comp] = ws[:p]
     x = np.zeros((p, d, d))
     x[:, idx[:, None], idx] = v_top[:p, :, None] * v_top[:p, None, :]
     z_dual = np.clip(m / rho[:p, None, None], -1.0, 1.0)
     z_dual[:, idx] = z[:, None] * r[:, None, :]
     z_dual[:, :, idx] = r[:, :, None] * z
-
-    q = p if passed else p - 1
+    x.setflags(write=False)
+    z_dual.setflags(write=False)
     tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_dual[:q])[:, -1]
-    certified = []
-    for i in range(p):
-        objective, gap, ok = math.nan, math.inf, False
-        if i < q:
-            objective, gap, ok = _certificate(m, rhos[i], x[i], tops[i], tol)
+    outcomes = [_certificate(m, rhos[i], x[i], tops[i], tol) for i in range(q)]
+    outcomes.append((math.nan, math.inf, False))
+    # the first point that is not certified, p when every point is
+    c = [ok for _, _, ok in outcomes].index(False)
+
+    def point(i):
+        objective, gap, ok = outcomes[i]
         # X = v v^T is exactly symmetric: SymMatrix's validation and
         # (A + A^T) / 2 would keep its bytes
-        x_i = x[i].copy()
-        x_i.setflags(write=False)
         x_hat = object.__new__(SymMatrix)
-        x_hat.a = x_i
-        z_i = z_dual[i].copy()
-        sol = SdpSolution(
+        x_hat.a = x[i]
+        return SdpSolution(
             x_hat=x_hat,
             objective=objective,
             iterations=0,
@@ -531,15 +531,17 @@ def _witness_window(
             gap=gap,
             support=frozenset(idx[in_support[i]].tolist()),
             converged=ok,
-            z_dual=z_i,
-            _state=(x_i, rhos[i] * z_i / beta, beta),
+            z_dual=z_dual[i],
+            _state=(x_hat.a, rhos[i] * z_dual[i] / beta, beta),
         )
-        if not ok:
-            if not np.isfinite(sol._state[1]).all():
-                sol = certified[-1] if certified else prev
-            return certified, sol
-        certified.append(sol)
-    return certified, None
+
+    certified = [point(i) for i in range(c)]
+    if c == p:
+        return certified, None
+    start = point(c)
+    if not np.isfinite(start._state[1]).all():
+        start = certified[-1] if certified else prev
+    return certified, start
 
 
 def witness_certificate(

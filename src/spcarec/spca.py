@@ -174,12 +174,11 @@ def tune_rho(
         crit = _criterion_value(expl, baseline, len(sol.support), m.dim, a)
         points.append((sol.converged, sol.iterations, sol.gap, crit, sol.support))
 
-    prev, size, k = base_sol, _FIRST_WINDOW, 0
+    # the sorted grid starts with its rho = 0 points
+    for _ in range(grid.count(0.0)):
+        keep(base_sol)
+    prev, size, k = base_sol, _FIRST_WINDOW, len(points)
     while k < len(grid):
-        if grid[k] == 0.0:
-            keep(base_sol)
-            k += 1
-            continue
         rhos = grid[k : k + size]
         certified, start = _witness_window(m.a, rhos, prev, tol)
         # prev ends at the last certified point

@@ -502,6 +502,17 @@ class TestBounds:
         assert captured.err == "error: --cases must be at least 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n", ["1", "0", "-1"])
+    def test_thm3_n_below_two_exit_code(self, capsys, n):
+        # used to exit with "algebraic connectivity needs at least 2 nodes",
+        # "node count must be positive" and numpy's negative-dimensions
+        # message, none of which names the flag
+        code = main(["bounds", "--check", "thm3", "--n", n, "--cases", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --n must be at least 2\n"
+        assert captured.out == ""
+
     def test_thm3_no_valid_case_exit_code(self, capsys, monkeypatch):
         def disconnected(*args):
             raise Disconnected("always")

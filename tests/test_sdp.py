@@ -1015,6 +1015,21 @@ class TestPathWitness:
         assert trace.converged == (True,)
         assert trace.supports == (cold.support,)
 
+    def test_handed_out_points_are_read_only(self):
+        # each point's X and Z are views of the window's frozen stacks, so
+        # neither the walk nor a warm-started solve can write through them
+        outcomes = set()
+        for m, rho, prev, tol in _witness_battery():
+            window = _witness_window(m.a, (rho, 1.5 * rho, 2 * rho), prev, tol)
+            for sol in _window_sols(prev, window):
+                outcomes.add(sol.converged)
+                for a in (sol.x_hat.a, sol.z_dual, sol._state[0]):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0, 0] = 0.0
+        # certified points and declined candidates
+        assert outcomes == {True, False}
+
 
 # hand cases of TestPathWitness that start from the matrix's own rho = 0
 # solution, each on its one grid point: a sign flip, an off-support block

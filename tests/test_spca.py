@@ -1,5 +1,6 @@
 """Support recovery front end, penalty tuning, and theory diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -184,6 +185,43 @@ class TestTuneRho:
         for rho, k, support in zip(trace.grid, trace.iterations, trace.supports):
             if k == 0:
                 assert support == solve_sdp(m, rho).support
+
+    @pytest.mark.parametrize(
+        "grid, digest",
+        [
+            (
+                (0.0,),
+                "c17479afdb12c2fb6e2afd4a5332744f5ec3b71291cfc91a721666018ec0d0f2",
+            ),
+            (
+                (0.0, 0.0, 0.05),
+                "5faf70e795003cccae3915df8d818badf56605805750faece13dbfe21c0d2145",
+            ),
+            (
+                (-0.0, 0.05),
+                "856beece8037cf4bfd94bb20c387fe26875b3f59989e197bd1220e9ec4788d46",
+            ),
+            (
+                (0.0,) + DEFAULT_RHO_GRID,
+                "92bc9a5f747cad3e65eec064acf56cbd258514d7816199e5911c90d71ad8528b",
+            ),
+        ],
+        ids=["zero", "zero-zero-point", "negative-zero-point", "zero-default-grid"],
+    )
+    def test_zero_points_report_baseline(self, grid, digest):
+        # the rho = 0 points lead the sorted grid and report the baseline
+        # solve; the digest of the trace's repr on the first mc-easy
+        # repetition was recorded from a walk that tested every grid point
+        # for rho = 0
+        m = _experiment_matrix(20, 4, 8.0, 200, (0.0, 2.0), 3, 0, 0)
+        trace = tune_rho(m, grid, 0.5)
+        base = solve_sdp(m, 0.0)
+        zeros = grid.count(0.0)
+        assert trace.grid[:zeros] == grid[:zeros]
+        assert trace.supports[:zeros] == (base.support,) * zeros
+        assert trace.iterations[:zeros] == (base.iterations,) * zeros
+        assert trace.gaps[:zeros] == (base.gap,) * zeros
+        assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
 
     def test_tiny_max_iter_records_nonconvergence(self):
         rng = np.random.default_rng(42)
