@@ -35,7 +35,11 @@ alone.  The batteries are:
   prints the total completion iterations, how many completions stopped
   certified (residual test and relative dual gap <= tol), the worst
   relative gap, and how many of the 20 ops pass the workload's check and
-  equal the recorded reference.
+  equal the recorded reference.  For the same 20 ops it also prints counts
+  of the other two loops: the ``itspca`` runs, those that stopped at
+  ``max_iter``, those that ended in an exact cycle (by period) and the
+  power iterations computed; and the bucketed sampler's tries and the
+  complement connectivities they computed.
 
 ``perfbench/`` is only read and imported from.  The script exits 1 when
 any solve in any battery stops at max_iter without converging, when any
@@ -50,6 +54,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -58,6 +63,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import spcarec.baselines as baselines  # noqa: E402
+import spcarec.graph as graph  # noqa: E402
 import spcarec.sdp as sdp  # noqa: E402
 import spcarec.spca as spca  # noqa: E402
 from spcarec.graph import adjacency, random_graph  # noqa: E402
@@ -189,8 +195,74 @@ def solve_d200() -> tuple[str, bool]:
     return line, passed
 
 
+class _DiagnoseRecorder:
+    """Wraps ``baselines.itspca`` and keeps each run's diagnostics (None
+    for a ThresholdTooLarge) and counts the power iterations computed, one
+    ``_soft_threshold_arr`` call each; and wraps ``graph._in_bucket``, one
+    call per sampler try, counting the tries and the complement
+    connectivities, every ``_connectivity`` call of a try after the
+    block's own."""
+
+    def __init__(self):
+        self.itspca = []
+        self.steps = self.tries = self.complements = self._connectivities = 0
+        self._saved = (baselines.itspca, baselines._soft_threshold_arr,
+                       graph._in_bucket, graph._connectivity)
+
+    def __enter__(self):
+        itspca, soft, in_bucket, connectivity = self._saved
+
+        def counted_soft(*args):
+            self.steps += 1
+            return soft(*args)
+
+        def recorded_itspca(*args, **kwargs):
+            res = None
+            baselines._soft_threshold_arr = counted_soft
+            try:
+                res = itspca(*args, **kwargs)
+                return res
+            finally:
+                baselines._soft_threshold_arr = soft
+                self.itspca.append(res and res.diagnostics)
+
+        def counted_connectivity(mask):
+            self._connectivities += 1
+            return connectivity(mask)
+
+        def counted_in_bucket(block, ratio_lo, ratio_hi):
+            before = self._connectivities
+            accepted = in_bucket(block, ratio_lo, ratio_hi)
+            self.tries += 1
+            self.complements += max(self._connectivities - before - 1, 0)
+            return accepted
+
+        baselines.itspca = recorded_itspca
+        graph._in_bucket = counted_in_bucket
+        graph._connectivity = counted_connectivity
+        return self
+
+    def __exit__(self, *exc):
+        (baselines.itspca, baselines._soft_threshold_arr,
+         graph._in_bucket, graph._connectivity) = self._saved
+
+    def line(self) -> str:
+        runs = [diag for diag in self.itspca if diag is not None]
+        capped = sum(not diag["converged"] for diag in runs)
+        periods = Counter(diag["cycle_period"] for diag in runs if diag["cycle_period"])
+        cycles = ", ".join(f"period {p}: {periods[p]}" for p in sorted(periods)) or "none"
+        return (
+            f"diagnose-hard: {len(self.itspca)} itspca runs "
+            f"({len(self.itspca) - len(runs)} ThresholdTooLarge), "
+            f"{capped} stopped at max_iter, cycle exits {sum(periods.values())} "
+            f"({cycles}), {self.steps} power iterations computed; "
+            f"sampler {self.tries} tries, "
+            f"{self.complements} complement connectivities computed"
+        )
+
+
 def completion() -> tuple[str, bool]:
-    """The battery's summary line and whether every completion stopped
+    """The battery's summary lines and whether every completion stopped
     certified and every op passed its check and reference."""
     pool = json.loads(REFERENCE.read_text())["diagnose-hard"]
     workload = DiagnoseHard(REFERENCE_SEED, "", pool)
@@ -206,9 +278,10 @@ def completion() -> tuple[str, bool]:
     good = 0
     baselines._complete_nuclear = recorded
     try:
-        for k in range(20):
-            out = workload.summarize(workload.op(k))
-            good += not workload.check(out) and not workload.compare(out, pool[k])
+        with _DiagnoseRecorder() as rec:
+            for k in range(20):
+                out = workload.summarize(workload.op(k))
+                good += not workload.check(out) and not workload.compare(out, pool[k])
     finally:
         baselines._complete_nuclear = complete
     certified = sum(1 for _, c, _ in runs if c)
@@ -216,7 +289,7 @@ def completion() -> tuple[str, bool]:
         f"completion: {len(runs)} diagnose-hard completions, "
         f"{sum(n for n, _, _ in runs)} iterations, {certified} certified, "
         f"worst relative gap {max(g for _, _, g in runs):.2e}, "
-        f"ops passing check and reference {good}/20"
+        f"ops passing check and reference {good}/20\n{rec.line()}"
     )
     return line, certified == len(runs) and good == 20
 

@@ -66,6 +66,17 @@ def itspca(
     Starts from the normalized all-ones vector.  Raises ThresholdTooLarge
     if the iterate collapses to zero.  A run that stops at max_iter returns
     its support with `converged` False in the diagnostics.
+
+    Each step is a function of the iterate's bytes alone, so once iterate
+    `it` repeats iterate j exactly, the run cycles with period
+    p = it - j and never converges.  It then stops and returns iteration
+    j + 1 + ((max_iter - j - 1) mod p) of the cycle, whose iterate and
+    step size equal those of iteration max_iter; the diagnostics read as
+    if the loop had run to max_iter, and `cycle_period` is p (0 for a run
+    that did not close a cycle).  The iterates of a cycle can differ in
+    support (a period-2 cycle can flip between two orthogonal iterates,
+    delta = sqrt 2), so the support returned at the cap can depend on
+    max_iter mod p.
     """
     m = SymMatrix(m)
     _check_nonnegative_finite(threshold, "threshold")
@@ -75,7 +86,11 @@ def itspca(
     v = np.ones(d) / np.sqrt(d)
     a = m.a
     delta = np.inf
-    it = 0
+    it = period = 0
+    # trail[i] is (iterate, step size) of iteration i; seen maps an
+    # iterate's bytes to the first iteration that reached it
+    trail = [(v, delta)]
+    seen = {v.tobytes(): 0}
     for it in range(1, max_iter + 1):
         w = _soft_threshold_arr(a @ v, threshold)
         # math.sqrt(x.dot(x)) is what np.linalg.norm computes for a 1-d float x
@@ -90,6 +105,13 @@ def itspca(
         v = w
         if delta <= tol:
             break
+        trail.append((v, delta))
+        j = seen.setdefault(v.tobytes(), it)
+        if j < it:
+            period = it - j
+            v, delta = trail[j + 1 + (max_iter - j - 1) % period]
+            it = max_iter
+            break
     support = frozenset(int(i) for i in np.nonzero(v)[0])
     return BaselineResult(
         support=support,
@@ -98,6 +120,7 @@ def itspca(
             "iterations": it,
             "delta": float(delta),
             "converged": delta <= tol,
+            "cycle_period": period,
         },
     )
 

@@ -242,17 +242,55 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, weights
 
 
-def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationGraph:
+def _draw_pairs(n: int, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices into _pair_table(n) of the pairs a random graph draws."""
+    if not budget:
+        return np.empty(0, dtype=int)
+    weights = _pair_table(n)[2]
+    perm = rng.permutation(weights.size)
+    cum = np.cumsum(weights[perm])
+    return perm[: int(np.searchsorted(cum, budget, side="left")) + 1]
+
+
+def _graph_of_pairs(n: int, sel: np.ndarray) -> ObservationGraph:
+    rows, cols, _ = _pair_table(n)
     mask = np.zeros((n, n), dtype=bool)
-    if budget:
-        rows, cols, weights = _pair_table(n)
-        perm = rng.permutation(rows.size)
-        cum = np.cumsum(weights[perm])
-        k = int(np.searchsorted(cum, budget, side="left"))
-        sel = perm[: k + 1]
-        mask[rows[sel], cols[sel]] = True
-        mask = mask | mask.T
-    return _graph(mask)
+    mask[rows[sel], cols[sel]] = True
+    return _graph(mask | mask.T)
+
+
+def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationGraph:
+    return _graph_of_pairs(n, _draw_pairs(n, budget, rng))
+
+
+def _in_bucket(block: np.ndarray, ratio_lo: float, ratio_hi: float) -> bool:
+    """Whether the block with bool mask `block` is connected with psi/phi,
+    as block_quantities computes them, in [ratio_lo, ratio_hi).
+
+    The complement's connectivity is >= 0, so max(d1, 0) <= psi <=
+    max(d1, 0, Dmax(complement)); the irregularity, with the complement's
+    Laplacian spectrum, is computed only when these bounds leave the test
+    open.  Subtraction of a nonnegative number and division by phi > 0 are
+    monotone under rounding, so the bounds hold for the computed psi / phi
+    too and every answer is block_quantities' own.
+    """
+    if block.shape[0] == 1:  # block_quantities takes it as (1, 0)
+        return ratio_lo <= 0.0 < ratio_hi
+    phi = _connectivity(block)
+    if phi <= 0.0:
+        return False
+    d1 = float(block.sum(axis=1).max()) - phi
+    if d1 < -_EIG_ZERO_TOL:
+        return False
+    low = max(d1, 0.0)
+    high = max(low, float((~block).sum(axis=1).max()))
+    if high / phi < ratio_lo or low / phi >= ratio_hi:
+        return False
+    try:
+        psi = _irregularity(block, phi)
+    except IrregularityUndefined:
+        return False
+    return ratio_lo <= psi / phi < ratio_hi
 
 
 def _check_graph_args(n: int, budget: int) -> None:
@@ -287,7 +325,8 @@ def random_graph_bucketed(
     lands in [ratio_lo, ratio_hi) with the block connected.
 
     Draws with a disconnected block or undefined irregularity are rejected.
-    Raises BucketExhausted after max_tries rejections.
+    Raises BucketExhausted after max_tries rejections.  Each try builds
+    only the support block; the graph is built for the accepted try.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be at least 1")
@@ -295,17 +334,21 @@ def random_graph_bucketed(
         raise ValueError("need ratio_lo < ratio_hi")
     _check_graph_args(n, budget)
     support = _node_set(n, support, "support")
+    k = len(support)
+    # flat index of each pair's entry in a (k+1) x (k+1) array whose last
+    # row and column collect the pairs outside the block
+    pos = np.full(n, k)
+    pos[support] = np.arange(k)
+    rows, cols, _ = _pair_table(n)
+    flat = pos[rows] * (k + 1) + pos[cols]
     for attempt in range(max_tries):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, attempt)))
-        g = _random_graph(n, budget, rng)
-        try:
-            phi, psi = block_quantities(g, support)
-        except IrregularityUndefined:
-            continue
-        if phi <= 0.0:
-            continue
-        if ratio_lo <= psi / phi < ratio_hi:
-            return g
+        sel = _draw_pairs(n, budget, rng)
+        hit = np.zeros((k + 1) * (k + 1), dtype=bool)
+        hit[flat[sel]] = True
+        block = hit.reshape(k + 1, k + 1)[:k, :k]
+        if _in_bucket(block | block.T, ratio_lo, ratio_hi):
+            return _graph_of_pairs(n, sel)
     raise BucketExhausted(
         f"no graph with ratio in [{ratio_lo}, {ratio_hi}) after {max_tries} tries"
     )

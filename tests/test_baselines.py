@@ -132,22 +132,39 @@ def _loop_itspca(a, threshold, max_iter=1000, tol=1e-8):
     return frozenset(int(i) for i in np.nonzero(v)[0]), it, float(delta)
 
 
+def _itspca_matrix(d, seed, spiked):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    a = a + a.T
+    if spiked:
+        a = a + _spike(d, rng.choice(d, size=max(1, d // 4), replace=False)).a
+    return a
+
+
+# found by search: the run closes an exact cycle of period 4 at iteration
+# 71, and one of period 12 at iteration 918
+_PERIOD_4 = _itspca_matrix(12, 1, False)
+_PERIOD_12 = _itspca_matrix(30, 1, False)
+
+
 class TestItspcaMatchesLoop:
     @settings(max_examples=200, deadline=None)
     @given(
-        d=st.integers(1, 40),
-        seed=st.integers(0, 2**32 - 1),
+        a=st.builds(
+            _itspca_matrix, st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans()
+        ),
         threshold=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0, 3.0, 100.0]),
-        max_iter=st.sampled_from([1, 7, 1000]),
-        spiked=st.booleans(),
+        max_iter=st.sampled_from([1, 2, 7, 8, 999, 1000, 1001]),
     )
-    @example(d=3, seed=0, threshold=10.0, max_iter=1000, spiked=False)
-    def test_bit_equal(self, d, seed, threshold, max_iter, spiked):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((d, d))
-        a = a + a.T
-        if spiked:
-            a = a + _spike(d, rng.choice(d, size=max(1, d // 4), replace=False)).a
+    @example(a=_itspca_matrix(3, 0, False), threshold=10.0, max_iter=1000)
+    # the iterate flips between (1, 1) and (1, -1) / sqrt(2)
+    @example(a=np.diag([1.0, -1.0]), threshold=0.0, max_iter=1000)
+    @example(a=np.diag([1.0, -1.0]), threshold=0.0, max_iter=1001)
+    @example(a=_PERIOD_4, threshold=1.0, max_iter=999)
+    @example(a=_PERIOD_4, threshold=1.0, max_iter=1000)
+    @example(a=_PERIOD_12, threshold=0.3, max_iter=1000)
+    @example(a=_PERIOD_12, threshold=0.3, max_iter=1001)
+    def test_bit_equal(self, a, threshold, max_iter):
         m = SymMatrix(a)
         try:
             expected = _loop_itspca(m.a, threshold, max_iter=max_iter)
@@ -160,6 +177,31 @@ class TestItspcaMatchesLoop:
         assert got == expected
         assert res.diagnostics["converged"] == (expected[2] <= 1e-8)
         assert type(res.diagnostics["delta"]) is float
+        period = res.diagnostics["cycle_period"]
+        assert period == 0 or (period >= 2 and not res.diagnostics["converged"])
+
+    @pytest.mark.parametrize(
+        "a, threshold, period, closed_at",
+        [(np.diag([1.0, -1.0]), 0.0, 2, 3), (_PERIOD_4, 1.0, 4, 71),
+         (_PERIOD_12, 0.3, 12, 918)],
+    )
+    def test_cycle_period_reported(self, monkeypatch, a, threshold, period, closed_at):
+        steps = []
+        step = baselines._soft_threshold_arr
+
+        def counted(x, t):
+            steps.append(t)
+            return step(x, t)
+
+        monkeypatch.setattr(baselines, "_soft_threshold_arr", counted)
+        for max_iter in (closed_at - 1, closed_at, 1000):
+            steps.clear()
+            res = itspca(SymMatrix(a), threshold, max_iter=max_iter)
+            closed = max_iter >= closed_at
+            assert res.diagnostics["cycle_period"] == (period if closed else 0)
+            assert res.diagnostics["iterations"] == max_iter
+            # the run stops where the cycle closes
+            assert len(steps) == min(max_iter, closed_at)
 
 
 def _svd_svt(b, t):

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spcarec import graph
 from spcarec.bounds import masking_difference_check, tau
 from spcarec.errors import BucketExhausted, Disconnected, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
+    _in_bucket,
     _loopless_laplacian,
     _pair_table,
     _random_graph,
@@ -27,7 +29,7 @@ from spcarec.graph import (
     random_graph,
     random_graph_bucketed,
 )
-from spcarec.harness import gen_instance
+from spcarec.harness import DEFAULT_MAX_TRIES, gen_instance
 from spcarec.numerics import SymMatrix, spectral_norm
 from spcarec.sdp import solve_restricted
 from spcarec.spca import theoretical_rho
@@ -274,6 +276,116 @@ class TestRandomGraphBucketed:
         a = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)
         b = random_graph_bucketed(20, 150, range(5), 0.0, 4.0, 1000, 77)
         assert a == b
+
+
+def _per_try_bucketed(n, budget, support, ratio_lo, ratio_hi, max_tries, rng_seed):
+    """The per-try loop kept as the reference for random_graph_bucketed:
+    every try draws the whole graph and calls block_quantities on it."""
+    for attempt in range(max_tries):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, attempt)))
+        g = _random_graph(n, budget, rng)
+        try:
+            phi, psi = block_quantities(g, support)
+        except IrregularityUndefined:
+            continue
+        if phi <= 0.0:
+            continue
+        if ratio_lo <= psi / phi < ratio_hi:
+            return g
+    raise BucketExhausted(f"no graph after {max_tries} tries")
+
+
+# a low ratio_hi makes the sampler's lower bound reject, a high ratio_lo
+# its upper bound
+_RATIO_BOUNDS = [-1.0, 0.0, 1e-9, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 1e9, np.inf]
+
+
+@st.composite
+def _bucketed_args(draw):
+    n = draw(st.integers(1, 30))
+    budget = draw(st.integers(0, n * n))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    lo, hi = sorted(draw(st.lists(
+        st.sampled_from(_RATIO_BOUNDS), min_size=2, max_size=2, unique=True
+    )))
+    max_tries = draw(st.integers(1, 50))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, budget, support, lo, hi, max_tries, seed
+
+
+class TestBucketedMatchesPerTrialLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(_bucketed_args())
+    # the diagnose-hard and mc-easy shapes
+    @example((50, 1250, list(range(0, 50, 5)), 10.0, 12.0, DEFAULT_MAX_TRIES, 21))
+    @example((20, 200, [2, 7, 11, 19], 0.0, 2.0, DEFAULT_MAX_TRIES, 5))
+    def test_same_graph_or_both_exhausted(self, args):
+        try:
+            expected = _per_try_bucketed(*args)
+        except BucketExhausted:
+            with pytest.raises(BucketExhausted):
+                random_graph_bucketed(*args)
+            return
+        assert random_graph_bucketed(*args) == expected
+
+
+def _block(n, pairs):
+    return ObservationGraph(n, pairs).mask
+
+
+_PATH3 = _block(3, [(0, 1), (1, 2)])  # phi 1, psi 2: d1 = 1, Dmax(complement) = 2
+
+
+class TestInBucketExits:
+    """Each try is decided as block_quantities decides it, with the
+    complement's Laplacian spectrum computed only when the bounds
+    max(d1, 0) <= psi <= max(d1, 0, Dmax(complement)) leave it open."""
+
+    @pytest.mark.parametrize(
+        "block, ratio_lo, ratio_hi, spectra",
+        [
+            (_PATH3, 2.5, 3.0, 1),  # the upper bound 2 is below ratio_lo
+            (_PATH3, -1.0, 0.5, 1),  # the lower bound 1 is at least ratio_hi
+            (_PATH3, 1.5, 2.5, 2),  # open: accepted
+            (_PATH3, 1.5, 1.9, 2),  # open: rejected
+            (_block(3, [(0, 1), (1, 2), (0, 2)]), -1.0, np.inf, 1),  # d1 = -1
+            (_block(3, [(0, 0), (1, 1)]), -1.0, np.inf, 1),  # disconnected
+            (_block(1, []), 0.0, 1.0, 0),  # one node: (1, 0)
+            (_block(1, []), 0.5, 1.0, 0),
+        ],
+    )
+    def test_decides_like_block_quantities(
+        self, monkeypatch, block, ratio_lo, ratio_hi, spectra
+    ):
+        try:
+            phi, psi = block_quantities(graph_from_mask(block), range(block.shape[0]))
+            expected = phi > 0.0 and ratio_lo <= psi / phi < ratio_hi
+        except IrregularityUndefined:
+            expected = False
+        calls = []
+        connectivity = graph._connectivity
+        monkeypatch.setattr(
+            graph, "_connectivity", lambda m: calls.append(m) or connectivity(m)
+        )
+        assert _in_bucket(block, ratio_lo, ratio_hi) == expected
+        assert len(calls) == spectra
+
+    def test_bucket_edges_at_the_ratio(self):
+        checked = 0
+        for seed in range(40):
+            g = random_graph(8, 36, seed)
+            phi, psi = block_quantities(g, range(5))
+            if phi <= 0.0:
+                continue
+            block = g.mask[:5, :5]
+            r = psi / phi
+            up, down = np.nextafter(r, np.inf), np.nextafter(r, -np.inf)
+            assert _in_bucket(block, r, up)
+            assert _in_bucket(block, down, up)
+            assert not _in_bucket(block, up, np.inf)
+            assert not _in_bucket(block, -np.inf, r)
+            checked += 1
+        assert checked >= 20
 
 
 def _ones_complement_basis(n):
