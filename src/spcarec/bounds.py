@@ -20,7 +20,7 @@ from .graph import (
     _irregularity,
     algebraic_connectivity,
 )
-from .numerics import SymMatrix, spectral_norm
+from .numerics import SymMatrix, _check_positive_finite, spectral_norm
 
 __all__ = ["TailBoundCheck", "tau", "masking_difference_check", "tail_bound_montecarlo"]
 
@@ -104,8 +104,7 @@ def tail_bound_montecarlo(
     generator seeded by `rng_seed`, in blocks of `_TAIL_BLOCK`: one draw
     and one batched SVD per block.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be a positive finite real")
+    _check_positive_finite(sigma, "sigma")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if trials < 1000:

@@ -331,6 +331,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("seed", "pattern_seed"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
         return args.func(args)
     except (MatrixParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -272,7 +272,8 @@ def _in_bucket(block: np.ndarray, ratio_lo: float, ratio_hi: float) -> bool:
     Laplacian spectrum, is computed only when these bounds leave the test
     open.  Subtraction of a nonnegative number and division by phi > 0 are
     monotone under rounding, so the bounds hold for the computed psi / phi
-    too and every answer is block_quantities' own.
+    too and every answer is block_quantities' own; only d1 can make psi
+    undefined, as the complement's connectivity is <= its Dmax (Fiedler 1973).
     """
     if block.shape[0] == 1:  # block_quantities takes it as (1, 0)
         return ratio_lo <= 0.0 < ratio_hi
@@ -286,11 +287,7 @@ def _in_bucket(block: np.ndarray, ratio_lo: float, ratio_hi: float) -> bool:
     high = max(low, float((~block).sum(axis=1).max()))
     if high / phi < ratio_lo or low / phi >= ratio_hi:
         return False
-    try:
-        psi = _irregularity(block, phi)
-    except IrregularityUndefined:
-        return False
-    return ratio_lo <= psi / phi < ratio_hi
+    return ratio_lo <= _irregularity(block, phi) / phi < ratio_hi
 
 
 def _check_graph_args(n: int, budget: int) -> None:
@@ -299,6 +296,15 @@ def _check_graph_args(n: int, budget: int) -> None:
         raise ValueError("node count must be positive")
     if not 0 <= budget <= n * n:
         raise ValueError(f"budget must be in [0, n^2], got {budget}")
+
+
+def _check_bucket_args(n, budget, ratio_lo, ratio_hi, max_tries) -> None:
+    """random_graph_bucketed's arguments other than the support and seed."""
+    if max_tries < 1:
+        raise ValueError("max_tries must be at least 1")
+    if not ratio_lo < ratio_hi:
+        raise ValueError("need ratio_lo < ratio_hi")
+    _check_graph_args(n, budget)
 
 
 def random_graph(n: int, budget: int, rng_seed: int) -> ObservationGraph:
@@ -328,11 +334,7 @@ def random_graph_bucketed(
     Raises BucketExhausted after max_tries rejections.  Each try builds
     only the support block; the graph is built for the accepted try.
     """
-    if max_tries < 1:
-        raise ValueError("max_tries must be at least 1")
-    if not ratio_lo < ratio_hi:
-        raise ValueError("need ratio_lo < ratio_hi")
-    _check_graph_args(n, budget)
+    _check_bucket_args(n, budget, ratio_lo, ratio_hi, max_tries)
     support = _node_set(n, support, "support")
     k = len(support)
     # flat index of each pair's entry in a (k+1) x (k+1) array whose last

@@ -16,7 +16,8 @@ import numpy as np
 
 from .baselines import complete_nuclear, dtspca, itspca
 from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
-from .graph import ObservationGraph, _node_set, graph_from_mask, random_graph_bucketed
+from .graph import ObservationGraph, _node_set, graph_from_mask
+from .graph import _check_bucket_args, random_graph_bucketed
 from .numerics import SymMatrix, _check_nonnegative_finite
 from .spca import DEFAULT_RHO_GRID, _checked_grid, rescaled_parameter, tune_rho
 
@@ -62,7 +63,8 @@ PITPROPS_SUPPORT_NAMES = (
     "whorls",
 )
 
-_ITSPCA_DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 6) for k in range(1, 21))
+# step-0.05 grid to 1.0: itspca's thresholds, pitprops' default rho grid
+_COARSE_GRID = tuple(round(0.05 * k, 6) for k in range(1, 21))
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ def _dtspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
 
 def _itspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
     out = []
-    for t in _ITSPCA_DEFAULT_THRESHOLDS:
+    for t in _COARSE_GRID:
         try:
             out.append(itspca(inst.m, t).support == inst.support)
         except ThresholdTooLarge:
@@ -259,6 +261,9 @@ def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
     # tunes nothing, so the inputs are checked here, before the first draw
     _check_instance_args(spec.d, spec.s, spec.gap, spec.sigma)
     _checked_grid(spec.rho_grid, spec.a)
+    buckets = list(buckets)
+    for lo, hi in buckets:
+        _check_bucket_args(spec.d, spec.budget, lo, hi, spec.max_tries)
     reps = spec.reps
     rows = []
     for b, (lo, hi) in enumerate(buckets):
@@ -358,7 +363,7 @@ def pitprops_experiment(
             PITPROPS_VARIABLES.index(v) for v in PITPROPS_SUPPORT_NAMES
         )
     if rho_grid is None:
-        rho_grid = tuple(round(0.05 * k, 6) for k in range(1, 21))
+        rho_grid = _COARSE_GRID
     spec = _Spec(
         d=13, s=len(support), gap=_spectral_gap(m_star), sigma=sigma,
         budget=budget, reps=reps, rng_seed=rng_seed, max_tries=max_tries,

@@ -52,19 +52,14 @@ DEFAULT_RHO_GRID = tuple(round(0.025 * k, 6) for k in range(1, 41))
 _FIRST_WINDOW = 4
 
 
-def recover_support(
-    m: SymMatrix,
-    rho: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[frozenset, SdpSolution]:
+def recover_support(m: SymMatrix, rho: float) -> tuple[frozenset, SdpSolution]:
     """Solve the penalized problem and read the support off the diagonal.
 
     An identically zero observation carries no signal and returns the
     empty support.
     """
     m = SymMatrix(m)
-    sol = solve_sdp(m, rho, tol=tol, max_iter=max_iter)
+    sol = solve_sdp(m, rho)
     if not np.any(m.a):
         return frozenset(), sol
     return sol.support, sol
@@ -102,19 +97,13 @@ def _criterion_value(
     return (1.0 - a) * explained_rho / baseline + a * (1.0 - support_size / d)
 
 
-def criterion(
-    m: SymMatrix,
-    rho: float,
-    a: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def criterion(m: SymMatrix, rho: float, a: float) -> float:
     """Tuning criterion: explained-variance ratio traded against sparsity.
 
     C = (1-a) <M, X_rho> / <M, X_0> + a (1 - |supp(diag(X_rho))| / d),
     evaluated as the one-point grid search tune_rho(m, (rho,), a).
     """
-    return tune_rho(m, (rho,), a, tol=tol, max_iter=max_iter).criteria[0]
+    return tune_rho(m, (rho,), a).criteria[0]
 
 
 @dataclass(frozen=True)

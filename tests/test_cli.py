@@ -248,6 +248,27 @@ class TestExperiment:
         assert "spectral gap must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_bucket_exit_code_before_any_draw(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # used to exit 2 only after the two good buckets ran 100 reps each
+        calls = []
+        monkeypatch.setattr(
+            harness, "random_graph_bucketed", lambda *args: calls.append(args)
+        )
+        out = tmp_path / "e.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "20", "--s", "4",
+            "--gap", "8", "--budget", "200", "--buckets", "0:2,0:2,3:1",
+            "--reps", "100", "--out", str(out),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need ratio_lo < ratio_hi\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert calls == []
+
     def test_bad_bucket_syntax(self, tmp_path):
         code = main(
             [
@@ -523,3 +544,33 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.err == "error: no valid cases sampled in 200 attempts\n"
         assert captured.out == ""
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen", "--d", "4", "--s", "2", "--gap", "1", "--budget", "4",
+              "--seed", "-1"], "--seed"),
+            (["experiment", "--mode", "synthetic", "--d", "6", "--s", "2",
+              "--budget", "20", "--buckets", "0:2", "--reps", "1", "--seed", "-1"],
+             "--seed"),
+            (["bounds", "--check", "thm2", "--trials", "1000", "--seed", "-1"],
+             "--seed"),
+            (["bounds", "--check", "thm3", "--cases", "2", "--seed", "-1"], "--seed"),
+            (["bounds", "--check", "thm2", "--trials", "1000", "--pattern-seed",
+              "-3"], "--pattern-seed"),
+        ],
+        ids=["gen", "experiment", "thm2", "thm3", "thm2-pattern"],
+    )
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv, flag):
+        # used to exit with numpy's "expected non-negative integer", which
+        # names no flag
+        out = tmp_path / "out.csv"
+        if argv[0] != "bounds":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be nonnegative\n"
+        assert captured.out == ""
+        assert not out.exists()

@@ -388,6 +388,30 @@ class TestInBucketExits:
         assert checked >= 20
 
 
+class TestComplementIrregularityDefined:
+    """Why _in_bucket calls _irregularity unguarded: the loopless complement
+    of a connected block on k >= 2 nodes is not complete, so its algebraic
+    connectivity is at most its minimum degree (Fiedler 1973), and the
+    complement's difference Dmax - a is never negative."""
+
+    def test_every_connected_block_on_two_to_five_nodes(self):
+        blocks = 0
+        for k in range(2, 6):
+            rows, cols = np.triu_indices(k)
+            codes = np.arange(2 ** rows.size)[:, None]
+            for bits in (codes >> np.arange(rows.size)) & 1 == 1:
+                block = np.zeros((k, k), dtype=bool)
+                block[rows[bits], cols[bits]] = True
+                block |= block.T
+                if graph._connectivity(block) <= 0.0:
+                    continue
+                comp = ~block
+                assert comp.sum(axis=1).max() - graph._connectivity(comp) >= 0.0
+                blocks += 1
+        # 4 + 32 + 608 + 23,296 connected blocks, loops included
+        assert blocks == 23_940
+
+
 def _ones_complement_basis(n):
     basis = np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]])
     q, _ = np.linalg.qr(basis)

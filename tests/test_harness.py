@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spcarec import harness
 from spcarec.errors import MatrixParseError
 from spcarec.graph import ObservationGraph, adjacency, random_graph
 from spcarec.harness import (
@@ -142,6 +143,20 @@ class TestRunBucketExperiment:
         )
         with pytest.raises(ValueError, match=message):
             run_bucket_experiment(**{**kwargs, **bad})
+
+    def test_every_bucket_checked_before_the_first_draw(self, monkeypatch):
+        # the third bucket is empty; it used to raise only after the first
+        # two had run all their repetitions
+        calls = []
+        monkeypatch.setattr(
+            harness, "random_graph_bucketed", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="need ratio_lo < ratio_hi"):
+            run_bucket_experiment(
+                d=20, s=4, gap=8.0, sigma=0.0, budget=200,
+                buckets=[(0.0, 2.0), (0.0, 2.0), (3.0, 1.0)], reps=100,
+            )
+        assert calls == []
 
     def test_csv_bytes_pinned(self, tmp_path):
         # SHA-256 of the emitted CSV, recorded before the experiment
