@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .bounds import tail_bound_montecarlo, masking_difference_check
-from .errors import Disconnected, IrregularityUndefined, MatrixParseError
+from .errors import Disconnected, IrregularityUndefined
 from .graph import bipartite_from_mask, graph_from_mask, random_graph
 from .harness import (
     _METHODS,
@@ -29,7 +29,7 @@ from .harness import (
 )
 from .numerics import SymMatrix
 from .sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, kkt_report, solve_sdp, witness_certificate
-from .spca import sufficient_conditions_report, tune_rho
+from .spca import _grid, sufficient_conditions_report, tune_rho
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -44,7 +44,7 @@ def _parse_support(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise MatrixParseError(f"cannot parse support list {text!r}") from None
+        raise ValueError(f"cannot parse support list {text!r}") from None
 
 
 def _parse_buckets(text: str) -> list[tuple[float, float]]:
@@ -54,17 +54,8 @@ def _parse_buckets(text: str) -> list[tuple[float, float]]:
         try:
             buckets.append((float(lo), float(hi)))
         except ValueError:
-            raise MatrixParseError(f"cannot parse bucket {part!r}") from None
+            raise ValueError(f"cannot parse bucket {part!r}") from None
     return buckets
-
-
-def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise MatrixParseError("grid start, stop and step must be finite")
-    if step <= 0 or stop < start:
-        raise MatrixParseError("need step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return tuple(round(start + k * step, 10) for k in range(count))
 
 
 def _cmd_gen(args) -> int:
@@ -156,13 +147,11 @@ def _cmd_experiment(args) -> int:
     grid_flags = (args.grid_start, args.grid_stop, args.grid_step)
     if grid_flags != (None, None, None):
         if None in grid_flags:
-            raise MatrixParseError(
-                "give --grid-start, --grid-stop and --grid-step together"
-            )
+            raise ValueError("give --grid-start, --grid-stop and --grid-step together")
         given["rho_grid"] = _grid(*grid_flags)
     if args.mode == "synthetic":
         if args.method != "sdp":
-            raise MatrixParseError(
+            raise ValueError(
                 f"--method {args.method} applies only to pitprops mode; "
                 "synthetic mode runs sdp"
             )
@@ -172,7 +161,7 @@ def _cmd_experiment(args) -> int:
         )
     else:
         if not args.matrix:
-            raise MatrixParseError("--matrix is required for pitprops mode")
+            raise ValueError("--matrix is required for pitprops mode")
         rows = pitprops_experiment(
             args.matrix, args.budget, buckets, rng_seed=args.seed,
             method=args.method, **given,
@@ -191,10 +180,10 @@ def _cmd_experiment(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.check == "thm2":
         if not 0.0 <= args.density <= 1.0:
-            raise MatrixParseError("density must be in [0, 1]")
+            raise ValueError("density must be in [0, 1]")
         for flag in ("m", "n"):
             if getattr(args, flag) < 1:
-                raise MatrixParseError(f"--{flag} must be at least 1")
+                raise ValueError(f"--{flag} must be at least 1")
         rng = np.random.default_rng(np.random.SeedSequence(args.pattern_seed))
         mask = rng.random((args.m, args.n)) < args.density
         pattern = bipartite_from_mask(mask)
@@ -210,10 +199,11 @@ def _cmd_bounds(args) -> int:
         )
         return _EXIT_OK
     if args.cases < 1:
-        raise MatrixParseError("--cases must be at least 1")
+        raise ValueError("--cases must be at least 1")
     if args.n < 2:
-        raise MatrixParseError("--n must be at least 2")
+        raise ValueError("--n must be at least 2")
     worst = None
+    all_hold = True
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     done = 0
     attempts = 0
@@ -228,14 +218,15 @@ def _cmd_bounds(args) -> int:
         except (Disconnected, IrregularityUndefined):
             continue
         done += 1
+        all_hold &= holds
         margin = rhs - lhs
         if worst is None or margin < worst[0]:
-            worst = (margin, lhs, rhs, holds)
+            worst = (margin, lhs, rhs)
     if worst is None:
         raise ValueError(f"no valid cases sampled in {attempts} attempts")
     print(
         f"cases={done}  tightest margin={worst[0]:.6g} "
-        f"(lhs={worst[1]:.6g}, rhs={worst[2]:.6g})  all_hold={worst[3]}"
+        f"(lhs={worst[1]:.6g}, rhs={worst[2]:.6g})  all_hold={all_hold}"
     )
     return _EXIT_OK
 
@@ -335,7 +326,7 @@ def main(argv=None) -> int:
             if getattr(args, flag, 0) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative")
         return args.func(args)
-    except (MatrixParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
 

@@ -259,10 +259,6 @@ def _graph_of_pairs(n: int, sel: np.ndarray) -> ObservationGraph:
     return _graph(mask | mask.T)
 
 
-def _random_graph(n: int, budget: int, rng: np.random.Generator) -> ObservationGraph:
-    return _graph_of_pairs(n, _draw_pairs(n, budget, rng))
-
-
 def _in_bucket(block: np.ndarray, ratio_lo: float, ratio_hi: float) -> bool:
     """Whether the block with bool mask `block` is connected with psi/phi,
     as block_quantities computes them, in [ratio_lo, ratio_hi).
@@ -315,7 +311,7 @@ def random_graph(n: int, budget: int, rng_seed: int) -> ObservationGraph:
     """
     _check_graph_args(n, budget)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    return _random_graph(n, budget, rng)
+    return _graph_of_pairs(n, _draw_pairs(n, budget, rng))
 
 
 def random_graph_bucketed(

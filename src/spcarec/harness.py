@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import BucketExhausted, MatrixParseError, ThresholdTooLarge
 from .graph import ObservationGraph, _node_set, graph_from_mask
 from .graph import _check_bucket_args, random_graph_bucketed
 from .numerics import SymMatrix, _check_nonnegative_finite
-from .spca import DEFAULT_RHO_GRID, _checked_grid, rescaled_parameter, tune_rho
+from .spca import DEFAULT_RHO_GRID, _checked_grid, _grid, rescaled_parameter, tune_rho
 
 __all__ = [
     "ProblemInstance",
@@ -64,7 +64,7 @@ PITPROPS_SUPPORT_NAMES = (
 )
 
 # step-0.05 grid to 1.0: itspca's thresholds, pitprops' default rho grid
-_COARSE_GRID = tuple(round(0.05 * k, 6) for k in range(1, 21))
+_COARSE_GRID = _grid(0.05, 1.0, 0.05)
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,7 @@ def _sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
 
 
 def _mc_sdp_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
-    filled = complete_nuclear(inst.m, inst.graph)
-    trace = tune_rho(filled, spec.rho_grid, spec.a)
-    return (trace.chosen_support == inst.support,)
+    return _sdp_recoveries(replace(inst, m=complete_nuclear(inst.m, inst.graph)), spec)
 
 
 def _dtspca_recoveries(inst: ProblemInstance, spec: _Spec) -> tuple[bool, ...]:
@@ -300,7 +298,7 @@ def run_bucket_experiment(
     budget: int,
     buckets,
     reps: int = 20,
-    rho_grid=None,
+    rho_grid=DEFAULT_RHO_GRID,
     a: float = 0.5,
     rng_seed: int = 0,
     max_tries: int = DEFAULT_MAX_TRIES,
@@ -313,8 +311,6 @@ def run_bucket_experiment(
     (set equality, no partial credit).  A bucket that exhausts its
     rejection budget yields a row marked skipped with NaN rate.
     """
-    if rho_grid is None:
-        rho_grid = DEFAULT_RHO_GRID
     spec = _Spec(
         d=d, s=s, gap=gap, sigma=sigma, budget=budget, reps=reps,
         rng_seed=rng_seed, max_tries=max_tries, score=_sdp_recoveries,
@@ -329,7 +325,7 @@ def pitprops_experiment(
     buckets,
     sigma: float = 0.1,
     reps: int = 50,
-    rho_grid=None,
+    rho_grid=_COARSE_GRID,
     a: float = 0.4,
     rng_seed: int = 0,
     method: str = "sdp",
@@ -362,8 +358,6 @@ def pitprops_experiment(
         support = tuple(
             PITPROPS_VARIABLES.index(v) for v in PITPROPS_SUPPORT_NAMES
         )
-    if rho_grid is None:
-        rho_grid = _COARSE_GRID
     spec = _Spec(
         d=13, s=len(support), gap=_spectral_gap(m_star), sigma=sigma,
         budget=budget, reps=reps, rng_seed=rng_seed, max_tries=max_tries,

@@ -416,16 +416,35 @@ def _checked_decomposition(
     return dec, idx, comp
 
 
-def _offblock(m_cj: np.ndarray, v: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
-    """w = M_{Jc,J} v / (rho ||v||_1) for v oriented along z, which makes
-    (M - rho Z)_{Jc,J} v = 0 for the dual Z with w z^T across.
+def _rank_one(
+    m: np.ndarray, rho: np.ndarray, idx: np.ndarray, comp: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rank-one witness on J = idx with sign pattern z at each rho_k:
+    the eigenvalues of M_JJ - rho_k z z^T and its top eigenvector v_k from
+    one stacked eigh, whether sign(v_k) == +-z, and r_k, which holds z on J
+    and w_k = M_{Jc,J} v_k / (rho_k ||v_k||_1) on Jc = comp for v_k
+    oriented along z: (M - rho_k Z)_{Jc,J} v_k = 0 for a dual Z whose
+    columns on J are r_k z^T.
 
-    The product is taken on v as LAPACK returns it and negated together
-    with v: numpy rounds M_{Jc,J} v differently on a strided v and on a
-    contiguous copy, and negation is exact, so w does not depend on the
-    sign LAPACK gives v."""
-    w = (m_cj @ v) / (rho * float(np.abs(v).sum()))
-    return -w if float(z @ v) < 0 else w
+    w_k is one product per point, taken on v_k as LAPACK returns it and
+    negated together with v_k: numpy rounds M_{Jc,J} v differently on a
+    strided v and on a contiguous copy, and negation is exact, so w_k does
+    not depend on the sign LAPACK gives v_k.  Stacked calls return the
+    bytes of single calls, so each point has the bytes of its own witness.
+    """
+    b = m[idx[:, None], idx] - rho[:, None, None] * np.outer(z, z)
+    vals, vecs = np.linalg.eigh(b)
+    v = vecs[:, :, -1]
+    # sign(v) == z after orienting v along z exactly when sign(v) == +-z,
+    # that is when |sign(v) . z| = |J|
+    sign_ok = np.abs(np.sign(v) @ z) == z.size
+    m_cj = m[comp[:, None], idx]
+    r = np.empty((rho.size, m.shape[0]))
+    r[:, idx] = z
+    for k, (vk, rk) in enumerate(zip(v, rho.tolist())):
+        w = (m_cj @ vk) / (rk * float(np.abs(vk).sum()))
+        r[k, comp] = -w if float(z @ vk) < 0 else w
+    return vals, v, sign_ok, r
 
 
 # At a subnormal rho, M / rho and w can overflow: the clip bounds M / rho,
@@ -445,7 +464,7 @@ def _witness_window(
     top eigenvector of prev.x_hat on J x J.  Each point's witness is
     X = v v^T, with v the top eigenvector of M_JJ - rho z z^T oriented
     along z, and the dual Z with z z^T on J x J, w z^T and its transpose
-    across, where w = M_{Jc,J} v / (rho ||v||_1) (see _offblock), and
+    across, where w = M_{Jc,J} v / (rho ||v||_1) (see _rank_one), and
     clip(M / rho, -1, 1) on Jc x Jc, so |Z|_max <= 1 whenever
     |w|_max <= 1.  The point is certified when sign(v) == z, |w|_max <= 1
     and its gap passes _certificate.  The next point builds on that X: the
@@ -454,10 +473,8 @@ def _witness_window(
     its sign pattern is +-z, and the window's z serves the next point.
     Negating z negates v and w with it and leaves X and Z as they are.
 
-    So one eigh of the stack M_JJ - rho_k z z^T serves the window, and one
-    eigvalsh of the stack M - rho_k Z_k the gaps.  Stacked calls return
-    the bytes of single calls, and w is one product per point, so every
-    point has the bytes of the witness evaluated on its own.
+    So one _rank_one call serves the window, and one eigvalsh of the
+    stack M - rho_k Z_k the gaps.
 
     The walk stops at the first point that is not certified; or after a
     certified point whose X drops part of J; or at the end of the window.
@@ -483,16 +500,10 @@ def _witness_window(
     rho = np.array(rhos)
     beta = prev._state[2]
 
-    vecs = np.linalg.eigh(m[idx[:, None], idx] - rho[:, None, None] * np.outer(z, z))[1]
-    v_top = vecs[:, :, -1]
-    # sign(v) == z after orienting v along z exactly when sign(v) == +-z,
-    # that is when |sign(v) . z| = |J|
-    sign_ok = np.abs(np.sign(v_top) @ z) == z.size
+    _, v_top, sign_ok, r = _rank_one(m, rho, idx, comp, z)
     dg = v_top * v_top
     in_support = dg > SUPPORT_THRESHOLD * dg.max(axis=1, keepdims=True)
-    m_cj = m[comp[:, None], idx]
-    ws = np.array([_offblock(m_cj, v, z, r) for v, r in zip(v_top, rhos)])
-    passed = sign_ok & (np.abs(ws).max(axis=1, initial=0.0) <= 1.0)
+    passed = sign_ok & (np.abs(r[:, comp]).max(axis=1, initial=0.0) <= 1.0)
     # p points are built: up to the first that is declined or drops part
     # of J, or the whole window; the first q of them passed and get a gap
     stops = ~(passed & np.all(in_support, axis=1))
@@ -500,14 +511,11 @@ def _witness_window(
     p = int(stops.argmax()) + 1
     q = p if passed[p - 1] else p - 1
 
-    r = np.empty((p, d))
-    r[:, idx] = z
-    r[:, comp] = ws[:p]
     x = np.zeros((p, d, d))
     x[:, idx[:, None], idx] = v_top[:p, :, None] * v_top[:p, None, :]
     z_dual = np.clip(m / rho[:p, None, None], -1.0, 1.0)
-    z_dual[:, idx] = z[:, None] * r[:, None, :]
-    z_dual[:, :, idx] = r[:, :, None] * z
+    z_dual[:, idx] = z[:, None] * r[:p, None, :]
+    z_dual[:, :, idx] = r[:p, :, None] * z
     x.setflags(write=False)
     z_dual.setflags(write=False)
     tops = np.linalg.eigvalsh(m - rho[:q, None, None] * z_dual[:q])[:, -1]
@@ -570,29 +578,20 @@ def witness_certificate(
     u1 = dec.vectors[:, 0]
     s = idx.size
 
-    # v: the top eigenvector of M_JJ - rho z z^T oriented along z, and
-    # w = M_{Jc,J} v / (rho ||v||_1), which makes (M - rho Z)_{Jc,J} v = 0
     z = np.sign(u1[idx])
-    bvals, bvecs = np.linalg.eigh(m.a[idx[:, None], idx] - rho * np.outer(z, z))
-    v = bvecs[:, -1]
-    # sign(v) == z after orienting v along z exactly when sign(v) == +-z
-    signs = np.sign(v)
-    cond_sign = bool(np.all(signs == z) or np.all(signs == -z))
-    w = _offblock(m.a[comp[:, None], idx], v, z, rho)
-    # the dual: z z^T on J x J, w z^T and its transpose across, and
+    bvals, _, sign_ok, r = (a[0] for a in _rank_one(m.a, np.array([rho]), idx, comp, z))
+    cond_sign = bool(sign_ok)
+    # the dual: r z^T on J's columns, its transpose on J's rows, and
     # (M - A o M*) / rho on Jc x Jc
     z_full = (m.a - g.mask * m_star.a) / rho
     tail = z_full[comp[:, None], comp]
-    r = np.empty(m.dim)
-    r[idx] = z
-    r[comp] = w
     z_full[idx] = np.outer(z, r)
     z_full[:, idx] = np.outer(r, z)
     lam1_restricted = float(bvals[-1])
     eigengap = float(bvals[-1] - bvals[-2]) if s >= 2 else math.inf
     cond_gap = eigengap > _STRICT_MARGIN
 
-    offblock_max = float(np.abs(w).max(initial=0.0))
+    offblock_max = float(np.abs(r[comp]).max(initial=0.0))
     tailblock_max = float(np.abs(tail).max(initial=0.0))
     lam1_full = lam1_restricted
     if comp.size:

@@ -43,8 +43,21 @@ __all__ = [
     "DEFAULT_RHO_GRID",
 ]
 
-# step-0.025 grid from 0.025 to 1.0 inclusive
-DEFAULT_RHO_GRID = tuple(round(0.025 * k, 6) for k in range(1, 41))
+
+def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... to stop, each rounded to 10 decimals; a grid
+    of more than 1,000,000 points is refused before it is built."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid start, stop and step must be finite")
+    if step <= 0 or stop < start:
+        raise ValueError("need step > 0 and stop >= start")
+    steps = (stop - start) / step
+    if not math.isfinite(steps) or round(steps) >= 1_000_000:
+        raise ValueError("grid would have more than 1000000 points")
+    return tuple(round(start + k * step, 10) for k in range(round(steps) + 1))
+
+
+DEFAULT_RHO_GRID = _grid(0.025, 1.0, 0.025)
 # grid points in tune_rho's first witness window, which doubles while
 # every point certifies and is reset when a decline or a support change
 # cuts it short: the dense rho = 0 support usually shrinks within a few

@@ -132,6 +132,24 @@ class TestTune:
         assert "grid start, stop and step must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "start, stop, step", [("0", "1e308", "1e-308"), ("0", "1e9", "1e-9")]
+    )
+    def test_grid_too_large_exit_code(self, instance_files, capsys, start, stop, step):
+        # used to raise OverflowError and to try building 10**18 points
+        out, _, _ = instance_files
+        code = main(
+            [
+                "tune", "--in", str(out), "--grid-start", start,
+                "--grid-stop", stop, "--grid-step", step,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid would have more than 1000000 points\n"
+        assert captured.out == ""
+
+
 class TestCertify:
     def test_report_printed(self, tmp_path, capsys):
         # fully observed instance: the condition report is always evaluable
@@ -353,6 +371,22 @@ class TestExperiment:
         assert "grid start, stop and step must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "start, stop, step", [("0", "1e308", "1e-308"), ("0", "1e9", "1e-9")]
+    )
+    def test_grid_too_large_exit_code(self, tmp_path, capsys, start, stop, step):
+        out = tmp_path / "r.csv"
+        argv = [
+            "experiment", "--mode", "synthetic", "--buckets", "0:2",
+            "--grid-start", start, "--grid-stop", stop, "--grid-step", step,
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid would have more than 1000000 points\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["synthetic", "pitprops"])
     def test_forwards_only_given_flags(self, tmp_path, monkeypatch, mode):
         seen = {}
@@ -544,6 +578,18 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.err == "error: no valid cases sampled in 200 attempts\n"
         assert captured.out == ""
+
+
+    def test_thm3_all_hold_reads_every_case(self, capsys, monkeypatch):
+        # the tightest case holds within its slack, relative to rhs = 10;
+        # the other, with a larger margin, fails against rhs = 1
+        cases = iter([(10.0 + 5e-8, 10.0, True), (1.0 + 3e-8, 1.0, False)])
+        monkeypatch.setattr(cli, "masking_difference_check", lambda *args: next(cases))
+        code = main(["bounds", "--check", "thm3", "--cases", "2"])
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "tightest margin=-5e-08 (lhs=10, rhs=10)" in captured
+        assert captured.endswith("all_hold=False\n")
 
 
 class TestSeedFlags:

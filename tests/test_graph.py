@@ -12,10 +12,11 @@ from spcarec.bounds import masking_difference_check, tau
 from spcarec.errors import BucketExhausted, Disconnected, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
+    _draw_pairs,
+    _graph_of_pairs,
     _in_bucket,
     _loopless_laplacian,
     _pair_table,
-    _random_graph,
     adjacency,
     algebraic_connectivity,
     bipartite_block,
@@ -283,7 +284,7 @@ def _per_try_bucketed(n, budget, support, ratio_lo, ratio_hi, max_tries, rng_see
     every try draws the whole graph and calls block_quantities on it."""
     for attempt in range(max_tries):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, attempt)))
-        g = _random_graph(n, budget, rng)
+        g = _graph_of_pairs(n, _draw_pairs(n, budget, rng))
         try:
             phi, psi = block_quantities(g, support)
         except IrregularityUndefined:
@@ -566,7 +567,7 @@ def _graph_pairs(draw):
     if draw(st.booleans()):
         budget = draw(st.integers(0, n * n))
         seed = draw(st.integers(0, 2**32 - 1))
-        g = _random_graph(n, budget, np.random.default_rng(seed))
+        g = _graph_of_pairs(n, _draw_pairs(n, budget, np.random.default_rng(seed)))
         ref = _ref_random_graph(n, budget, np.random.default_rng(seed))
         return g, ref
     node = st.integers(0, n - 1)
@@ -714,7 +715,7 @@ class TestMaskReadOnly:
             blk.pattern[0, 0] = True
 
     def test_cached_pair_table_read_only(self):
-        # _random_graph shares one table per n across every draw
+        # every draw of a random graph shares one table per n
         for a in _pair_table(5):
             with pytest.raises(ValueError):
                 a[0] = 0

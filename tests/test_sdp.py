@@ -24,7 +24,7 @@ from spcarec.sdp import (
     SdpSolution,
     _certificate,
     _checked_decomposition,
-    _offblock,
+    _rank_one,
     _support_arrays,
     _witness_window,
     kkt_report,
@@ -1144,21 +1144,35 @@ def _view_and_copy_differ(m_cj, v):
 class TestWitnessSignIndependence:
     """w and the witness do not depend on the sign LAPACK gives v."""
 
-    def test_offblock_same_bytes_for_both_signs(self):
+    def test_rank_one_same_bytes_for_both_signs(self, monkeypatch):
         rng = np.random.default_rng(32)
-        differ = 0
+        cases, differ = [], 0
         for _ in range(3000):
             c, s = (int(n) for n in rng.integers(1, 20, size=2))
-            b = rng.standard_normal((s, s))
-            vecs = np.linalg.eigh(b + b.T)[1]
-            m_cj = rng.standard_normal((c, s))
+            a = rng.standard_normal((c + s, c + s))
+            m = a + a.T
+            idx = np.sort(rng.choice(c + s, s, replace=False))
+            comp = np.setdiff1d(np.arange(c + s), idx)
             z = rng.choice([-1.0, 1.0], s)
-            rho = float(rng.uniform(0.05, 1.0))
-            # both are strided column views
-            w = _offblock(m_cj, vecs[:, -1], z, rho)
-            assert _same_bytes(w, _offblock(m_cj, (-vecs)[:, -1], z, rho))
-            differ += _view_and_copy_differ(m_cj, vecs[:, -1])
+            rho = rng.uniform(0.05, 1.0, size=2)
+            got = _rank_one(m, rho, idx, comp, z)
+            cases.append((m, rho, idx, comp, z, got))
+            # v holds strided row views, as the products are taken on
+            differ += any(_view_and_copy_differ(m[np.ix_(comp, idx)], v) for v in got[1])
         assert differ > 0
+
+        lapack_eigh = np.linalg.eigh
+
+        def flipped_eigh(a, *args, **kwargs):
+            vals, vecs = lapack_eigh(a, *args, **kwargs)
+            return vals, -vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped_eigh)
+        for m, rho, idx, comp, z, (vals, v, sign_ok, r) in cases:
+            f_vals, f_v, f_sign_ok, f_r = _rank_one(m, rho, idx, comp, z)
+            assert _same_bytes(f_vals, vals) and _same_bytes(f_v, -v)
+            assert _same_bytes(f_sign_ok, sign_ok)
+            assert _same_bytes(f_r, r)
 
     def test_witness_certificate_same_for_both_signs(self, monkeypatch):
         rng = np.random.default_rng(33)

@@ -23,6 +23,7 @@ from spcarec.numerics import SymMatrix, spectral_norm
 from spcarec.sdp import DEFAULT_TOL, _witness_window, kkt_report, solve_sdp
 from spcarec.spca import (
     DEFAULT_RHO_GRID,
+    _grid,
     criterion,
     recover_support,
     rescaled_parameter,
@@ -94,6 +95,31 @@ class TestCriterion:
         m = SymMatrix(_rank_one(12, [1, 4, 8]).a + noise + noise.T)
         for rho in (0.0, 0.1, 0.3):
             assert criterion(m, rho, 0.5) == tune_rho(m, (rho,), 0.5).criteria[0]
+
+
+class TestGrid:
+    @pytest.mark.parametrize("step, count", [(0.025, 40), (0.05, 20)])
+    def test_matches_rounded_multiples(self, step, count):
+        want = [round(step * k, 6).hex() for k in range(1, count + 1)]
+        assert [r.hex() for r in _grid(step, 1.0, step)] == want
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.1, 0.5, 0.0), "need step > 0"),
+            ((0.5, 0.1, 0.1), "stop >= start"),
+            ((0.0, 1e308, 1e-308), "more than 1000000 points"),
+            ((-1e308, 1e308, 1.0), "more than 1000000 points"),
+            ((0.0, 1e9, 1e-9), "more than 1000000 points"),
+            ((0.0, 1_000_000.0, 1.0), "more than 1000000 points"),
+        ],
+    )
+    def test_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            _grid(*args)
+
+    def test_point_limit_is_inclusive(self):
+        assert len(_grid(0.0, 999_999.0, 1.0)) == 1_000_000
 
 
 class TestTuneRho:
