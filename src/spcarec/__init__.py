@@ -7,17 +7,11 @@ Submodules:
   sdp        the penalized spectrahedron solver and optimality certificates
   spca       support recovery, penalty tuning, and theory-side diagnostics
   bounds     executable checks of the auxiliary tail/difference bounds
-  baselines  diagonal/iterative thresholding and completion pipelines
+  baselines  diagonal/iterative thresholding and nuclear-norm completion
   harness    instance generation, experiment runners, CSV I/O
 """
 
-from .baselines import (
-    BaselineResult,
-    complete_nuclear,
-    dtspca,
-    itspca,
-    mc_then_sdp,
-)
+from .baselines import BaselineResult, complete_nuclear, dtspca, itspca
 from .bounds import TailBoundCheck, tau, tail_bound_montecarlo, masking_difference_check
 from .errors import (
     BucketExhausted,

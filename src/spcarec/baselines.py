@@ -1,9 +1,9 @@
 """Comparison methods: diagonal thresholding, thresholded power iteration,
-and nuclear-norm completion followed by the penalized spectrahedron solver.
+and nuclear-norm completion.
 
 Missing entries are treated as zero by the thresholding baselines; the
-completion baseline instead fills them by nuclear-norm minimization before
-solving.
+completion baseline instead fills them by nuclear-norm minimization, and the
+experiments solve the filled matrix with the spectrahedron solver.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from .numerics import (
     _check_positive_finite,
     _soft_threshold_arr,
 )
-from .sdp import SdpSolution, _Anderson, solve_sdp
+from .sdp import _Anderson
 
 __all__ = [
     "BaselineResult",
     "dtspca",
     "itspca",
     "complete_nuclear",
-    "mc_then_sdp",
 ]
 
 
@@ -193,15 +192,6 @@ def _complete_nuclear(
     }
 
 
-def _checked_observation(m, g: ObservationGraph) -> SymMatrix:
-    m = SymMatrix(m)
-    if not g.mask.any():
-        raise ValueError("observation graph has no edges")
-    if g.n != m.dim:
-        raise ValueError("graph and matrix dimension mismatch")
-    return m
-
-
 def complete_nuclear(
     m: SymMatrix,
     g: ObservationGraph,
@@ -211,36 +201,13 @@ def complete_nuclear(
     """Fill the unobserved entries by nuclear-norm minimization.
 
     The returned matrix is symmetric and agrees exactly with the observed
-    entries of m.
+    entries of m.  The certified gap is the stopping rule and is not returned.
     """
-    m = _checked_observation(m, g)
+    m = SymMatrix(m)
+    if not g.mask.any():
+        raise ValueError("observation graph has no edges")
+    if g.n != m.dim:
+        raise ValueError("graph and matrix dimension mismatch")
     y, _ = _complete_nuclear(m.a, g.mask, tol, max_iter)
     return SymMatrix(y)
 
-
-def mc_then_sdp(
-    m: SymMatrix,
-    g: ObservationGraph,
-    rho: float,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> BaselineResult:
-    """Nuclear-norm completion followed by the penalized spectrahedron solve.
-
-    `completion_converged` means the completion's residual test passed and
-    its certified gap `completion_gap` is <= tol max(1, ||Y||_*).
-    """
-    m = _checked_observation(m, g)
-    y, info = _complete_nuclear(m.a, g.mask, tol, max_iter)
-    sol: SdpSolution = solve_sdp(SymMatrix(y), rho)
-    return BaselineResult(
-        support=sol.support,
-        diagnostics={
-            "completion_iterations": info["iterations"],
-            "completion_residual": info["residual"],
-            "completion_gap": info["gap"],
-            "completion_converged": info["converged"],
-            "solver_iterations": sol.iterations,
-            "solver_converged": sol.converged,
-        },
-    )

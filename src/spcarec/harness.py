@@ -535,7 +535,18 @@ def parse_rows_csv(path) -> list[ExperimentRow]:
         if header != _ROW_HEADER:
             raise MatrixParseError(f"unexpected header {header}")
         rows = []
-        for rec in reader:
-            cells = zip(_COLUMNS, rec, strict=True)
-            rows.append(ExperimentRow(**{f: read(tok) for (_, f, _, read), tok in cells}))
+        for i, rec in enumerate(reader):
+            if len(rec) != len(_COLUMNS):
+                raise MatrixParseError(
+                    f"row {i}: expected {len(_COLUMNS)} columns, found {len(rec)}"
+                )
+            fields = {}
+            for j, ((_, f, _, read), tok) in enumerate(zip(_COLUMNS, rec)):
+                try:
+                    fields[f] = read(tok)
+                except ValueError:
+                    raise MatrixParseError(
+                        f"row {i}, column {j}: cannot parse {tok!r}"
+                    ) from None
+            rows.append(ExperimentRow(**fields))
     return rows

@@ -356,6 +356,8 @@ def kkt_report(
         z = np.clip(np.asarray(z_hat, dtype=float), -1.0, 1.0)
         if z.shape != (m.dim, m.dim):
             raise ValueError(f"z_hat must have shape {(m.dim, m.dim)}, got {z.shape}")
+        if np.isnan(z).any():
+            raise ValueError("z_hat must not contain NaN")
     elif rho > 0:
         cutoff = 1e-8 * max(1.0, float(np.abs(x).max(initial=0.0)))
         z = np.where(np.abs(x) > cutoff, np.sign(x), np.clip(m.a / rho, -1.0, 1.0))

@@ -12,12 +12,11 @@ from spcarec.baselines import (
     complete_nuclear,
     dtspca,
     itspca,
-    mc_then_sdp,
 )
 from spcarec.errors import ThresholdTooLarge
 from spcarec.graph import ObservationGraph, adjacency, graph_from_mask, random_graph
 from spcarec.numerics import SymMatrix, eigh
-from spcarec.sdp import _Anderson
+from spcarec.sdp import _Anderson, solve_sdp
 from spcarec.spca import recover_support
 
 from helpers import _complete_with_loops
@@ -283,9 +282,7 @@ class TestCompleteNuclear:
         with pytest.raises(ValueError):
             complete_nuclear(SymMatrix(np.eye(3)), ObservationGraph(3))
 
-    @pytest.mark.parametrize(
-        "call", [complete_nuclear, lambda m, g: mc_then_sdp(m, g, 0.1)]
-    )
+    @pytest.mark.parametrize("call", [complete_nuclear])
     def test_input_validation(self, call):
         with pytest.raises(ValueError, match="no edges"):
             call(SymMatrix(np.eye(3)), ObservationGraph(3))
@@ -298,10 +295,7 @@ class TestCompleteNuclear:
 
     @pytest.mark.parametrize(
         "call",
-        [
-            lambda m, g, k: complete_nuclear(m, g, max_iter=k),
-            lambda m, g, k: mc_then_sdp(m, g, 0.1, max_iter=k),
-        ],
+        [lambda m, g, k: complete_nuclear(m, g, max_iter=k)],
     )
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_bad_max_iter(self, call, max_iter):
@@ -312,15 +306,12 @@ class TestCompleteNuclear:
 
     @pytest.mark.parametrize(
         "call",
-        [
-            lambda m, g, tol: complete_nuclear(m, g, tol=tol),
-            lambda m, g, tol: mc_then_sdp(m, g, 0.1, tol=tol),
-        ],
+        [lambda m, g, tol: complete_nuclear(m, g, tol=tol)],
     )
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_bad_tol(self, call, tol):
         # a NaN tol used to run all 5000 completion iterations and report
-        # completion_converged False at a residual of 7e-16
+        # converged False at a residual of 7e-16
         with pytest.raises(ValueError, match="tol must be a positive finite real"):
             call(SymMatrix(np.ones((3, 3))), _complete_with_loops(3), tol)
 
@@ -432,12 +423,15 @@ class TestAcceleratedCompletion:
             assert np.array_equal(y[mask], m[mask])
 
 
-class TestMcThenSdp:
+class TestCompletionThenSolve:
+    """Nuclear-norm completion followed by the penalized spectrahedron
+    solve at one rho; the experiments' `mc_sdp` method tunes it over a grid."""
+
     def test_complete_observation_matches_direct(self):
         rng = np.random.default_rng(95)
         a = rng.standard_normal((6, 6))
         m = SymMatrix(a + a.T)
-        res = mc_then_sdp(m, _complete_with_loops(6), 0.2)
+        res = solve_sdp(complete_nuclear(m, _complete_with_loops(6)), 0.2)
         direct, _ = recover_support(m, 0.2)
         assert res.support == direct
 
@@ -448,11 +442,10 @@ class TestMcThenSdp:
         mask = rng.random((8, 8)) < 0.85
         mask = np.triu(mask) | np.triu(mask).T
         np.fill_diagonal(mask, True)
-        g = graph_from_mask(mask)
         m = SymMatrix(np.where(mask, m_star.a, 0.0))
-        res = mc_then_sdp(m, g, 0.15)
-        assert res.support == set(idx)
-        assert res.diagnostics["completion_converged"]
+        y, info = _complete_nuclear(m.a, mask, 1e-6, 5000)
+        assert solve_sdp(SymMatrix(y), 0.15).support == set(idx)
+        assert info["converged"]
 
     def test_full_rank_reports_diagnostics(self):
         # full-rank truth: completion is not low-rank, diagnostics still sane
@@ -462,12 +455,11 @@ class TestMcThenSdp:
         mask = rng.random((8, 8)) < 0.5
         mask = np.triu(mask) | np.triu(mask).T
         np.fill_diagonal(mask, True)
-        g = graph_from_mask(mask)
         m = SymMatrix(np.where(mask, m_star, 0.0))
-        res = mc_then_sdp(m, g, 0.2)
-        assert res.support <= set(range(8))
-        assert "completion_residual" in res.diagnostics
-        assert res.diagnostics["completion_gap"] >= 0.0
+        y, info = _complete_nuclear(m.a, mask, 1e-6, 5000)
+        assert solve_sdp(SymMatrix(y), 0.2).support <= set(range(8))
+        assert "residual" in info
+        assert info["gap"] >= 0.0
 
     def test_capped_completion_not_converged(self):
         # one iteration passes neither the residual test nor the certificate
@@ -476,6 +468,6 @@ class TestMcThenSdp:
         mask = np.triu(rng.random((8, 8)) < 0.5)
         mask = mask | mask.T
         m = SymMatrix(np.where(mask, a + a.T, 0.0))
-        res = mc_then_sdp(m, graph_from_mask(mask), 0.2, max_iter=1)
-        assert not res.diagnostics["completion_converged"]
-        assert res.diagnostics["completion_gap"] > 1e-6
+        y, info = _complete_nuclear(m.a, mask, 1e-6, 1)
+        assert not info["converged"]
+        assert info["gap"] > 1e-6

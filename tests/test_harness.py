@@ -332,6 +332,9 @@ class TestLoadMatrixCsv:
         assert g2 == g
 
 
+_ROWS_HEADER = "bucket_lo,bucket_hi,gap,sigma,reps,rate,mean_rescaled\n"
+
+
 class TestEmitCsv:
     def test_empty(self, tmp_path):
         p = tmp_path / "rows.csv"
@@ -362,6 +365,25 @@ class TestEmitCsv:
     def test_parse_empty_file_rejected(self, tmp_path):
         p = _write(tmp_path, "rows.csv", "")
         with pytest.raises(MatrixParseError, match="^file is empty$"):
+            parse_rows_csv(p)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,b\n", r"^unexpected header \['a', 'b'\]$"),
+            # these three used to raise bare ValueErrors from zip and int
+            (_ROWS_HEADER + "0,2,10,0.1,20,0.85\n",
+             r"^row 0: expected 7 columns, found 6$"),
+            (_ROWS_HEADER + "0,2,10,0.1,20,0.85,1,9\n",
+             r"^row 0: expected 7 columns, found 8$"),
+            (_ROWS_HEADER + "0,2,10,0.1,20,0.85,1\n0,2,10,0.1,x,0.85,1\n",
+             r"^row 1, column 4: cannot parse 'x'$"),
+        ],
+        ids=["header", "short_row", "long_row", "reps"],
+    )
+    def test_parse_malformed_rejected(self, tmp_path, body, message):
+        p = _write(tmp_path, "rows.csv", body)
+        with pytest.raises(MatrixParseError, match=message):
             parse_rows_csv(p)
 
 

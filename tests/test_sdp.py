@@ -792,7 +792,9 @@ class TestKktReport:
         assert rep.trace_violation > 1e-3 or rep.min_eigenvalue < -1e-3
 
     @pytest.mark.parametrize(
-        "take", [lambda z: z[0], lambda z: z[0, 0]], ids=["row", "scalar"]
+        "take",
+        [lambda z: z[0], lambda z: z[0, 0], lambda z: np.full_like(z, np.nan)],
+        ids=["row", "scalar", "nan"],
     )
     def test_z_hat_shape_checked(self, take):
         m = _random_sym(np.random.default_rng(33), 4)
