@@ -38,8 +38,10 @@ alone.  The batteries are:
   equal the recorded reference.  For the same 20 ops it also prints counts
   of the other two loops: the ``itspca`` runs, those that stopped at
   ``max_iter``, those that ended in an exact cycle (by period) and the
-  power iterations computed; and the bucketed sampler's tries and the
-  complement connectivities they computed.
+  power iterations computed; the bucketed sampler's tries and the
+  complement connectivities they computed; and the tail Monte-Carlo
+  trials, by how each was decided: below t by the Frobenius bound, or by
+  SVD.
 
 ``perfbench/`` is only read and imported from.  The script exits 1 when
 any solve in any battery stops at max_iter without converging, when any
@@ -63,6 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import spcarec.baselines as baselines  # noqa: E402
+import spcarec.bounds as bounds  # noqa: E402
 import spcarec.graph as graph  # noqa: E402
 import spcarec.sdp as sdp  # noqa: E402
 import spcarec.spca as spca  # noqa: E402
@@ -201,16 +204,19 @@ class _DiagnoseRecorder:
     ``_soft_threshold_arr`` call each; and wraps ``graph._in_bucket``, one
     call per sampler try, counting the tries and the complement
     connectivities, every ``_connectivity`` call of a try after the
-    block's own."""
+    block's own; and wraps ``bounds._open_trials``, one call per block of
+    tail trials, counting the trials and those the Frobenius bound leaves
+    open for the SVD."""
 
     def __init__(self):
         self.itspca = []
         self.steps = self.tries = self.complements = self._connectivities = 0
+        self.tail_trials = self.tail_svd = 0
         self._saved = (baselines.itspca, baselines._soft_threshold_arr,
-                       graph._in_bucket, graph._connectivity)
+                       graph._in_bucket, graph._connectivity, bounds._open_trials)
 
     def __enter__(self):
-        itspca, soft, in_bucket, connectivity = self._saved
+        itspca, soft, in_bucket, connectivity, open_trials = self._saved
 
         def counted_soft(*args):
             self.steps += 1
@@ -237,14 +243,21 @@ class _DiagnoseRecorder:
             self.complements += max(self._connectivities - before - 1, 0)
             return accepted
 
+        def counted_open_trials(block, t):
+            open_ = open_trials(block, t)
+            self.tail_trials += len(block)
+            self.tail_svd += int(open_.sum())
+            return open_
+
         baselines.itspca = recorded_itspca
         graph._in_bucket = counted_in_bucket
         graph._connectivity = counted_connectivity
+        bounds._open_trials = counted_open_trials
         return self
 
     def __exit__(self, *exc):
         (baselines.itspca, baselines._soft_threshold_arr,
-         graph._in_bucket, graph._connectivity) = self._saved
+         graph._in_bucket, graph._connectivity, bounds._open_trials) = self._saved
 
     def line(self) -> str:
         runs = [diag for diag in self.itspca if diag is not None]
@@ -257,7 +270,10 @@ class _DiagnoseRecorder:
             f"{capped} stopped at max_iter, cycle exits {sum(periods.values())} "
             f"({cycles}), {self.steps} power iterations computed; "
             f"sampler {self.tries} tries, "
-            f"{self.complements} complement connectivities computed"
+            f"{self.complements} complement connectivities computed\n"
+            f"tail: {self.tail_trials} diagnose-hard tail trials, "
+            f"{self.tail_trials - self.tail_svd} decided by the Frobenius bound, "
+            f"{self.tail_svd} by SVD"
         )
 
 

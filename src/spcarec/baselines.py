@@ -64,7 +64,10 @@ def itspca(
 
     Starts from the normalized all-ones vector.  Raises ThresholdTooLarge
     if the iterate collapses to zero.  A run that stops at max_iter returns
-    its support with `converged` False in the diagnostics.
+    its support with `converged` False in the diagnostics.  The step size
+    is delta = min(||w - v||, ||w + v||) for the new iterate w: -v has the
+    support of v, so a run whose top-magnitude eigenvalue is negative,
+    where the iterate flips sign every step, still converges.
 
     Each step is a function of the iterate's bytes alone, so once iterate
     `it` repeats iterate j exactly, the run cycles with period
@@ -99,8 +102,8 @@ def itspca(
                 f"iterate collapsed to zero at threshold {threshold}"
             )
         w /= nw
-        diff = w - v
-        delta = math.sqrt(diff.dot(diff))
+        diff, flip = w - v, w + v
+        delta = math.sqrt(min(diff.dot(diff), flip.dot(flip)))
         v = w
         if delta <= tol:
             break

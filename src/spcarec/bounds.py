@@ -25,9 +25,16 @@ from .numerics import SymMatrix, _check_positive_finite, spectral_norm
 __all__ = ["TailBoundCheck", "tau", "masking_difference_check", "tail_bound_montecarlo"]
 
 _RANK_CUTOFF = 1e-10
-# trials per draw and batched SVD in tail_bound_montecarlo; small and fixed
-# so each block of draws stays small whatever the trial count
+# trials per draw in tail_bound_montecarlo, screened together and the open
+# ones sent to one batched SVD; small and fixed so each block of draws and
+# its temporaries stay small whatever the trial count
 _TAIL_BLOCK = 32
+# relative margin of the tail screen over the rounding of its sum of
+# squares and of LAPACK's largest singular value
+_TAIL_MARGIN = 1e-8
+# the screen decides a trial only when its squared Frobenius norm is at
+# least 2^-960, where underflowed squares are negligible
+_TAIL_FLOOR = 2.0**-960
 
 
 def tau(y: SymMatrix) -> float:
@@ -88,6 +95,14 @@ def tail_bound_value(m: int, n: int, sigma: float, max_degree: int, t: float) ->
     return 2.0 * (m + n) * math.exp(-(t * t) / (2.0 * sigma * sigma * max_degree))
 
 
+def _open_trials(block: np.ndarray, t: float) -> np.ndarray:
+    """Mark the trials of a block (k, m, n) that the Frobenius bound leaves
+    to the SVD; the rest are decided as ||Z||_2 < t.  See
+    tail_bound_montecarlo for the rule."""
+    fro2 = np.einsum("kij,kij->k", block, block)
+    return ~((fro2 >= _TAIL_FLOOR) & (np.sqrt(fro2) < t * (1.0 - _TAIL_MARGIN)))
+
+
 def tail_bound_montecarlo(
     sigma: float,
     s_pattern: BipartiteSubgraph,
@@ -102,7 +117,21 @@ def tail_bound_montecarlo(
     makes it the canonical test law.  `holds` allows three binomial
     standard errors on the empirical frequency.  All trials come from one
     generator seeded by `rng_seed`, in blocks of `_TAIL_BLOCK`: one draw
-    and one batched SVD per block.
+    per block, scaled by sigma and masked.
+
+    Each trial only asks whether ||Z||_2 >= t, and ||Z||_F >= ||Z||_2
+    (Golub & Van Loan, Matrix Computations, 2.3).  So `_open_trials`
+    counts a trial as below t without an SVD when ||Z||_F < t (1 - eta),
+    and only the trials it leaves open go to one batched SVD, compared
+    with `>= t`.  eta = `_TAIL_MARGIN` = 1e-8 covers rounding: the sum of
+    squares is accurate to about (m n) 2^-53 relative, and LAPACK's
+    largest singular value to a small multiple of max(m, n) 2^-53
+    relative, both below 1e-8 while m n < 9e7 (one trial under 700 MB).
+    A trial whose squared Frobenius norm is below `_TAIL_FLOOR`, where
+    underflowed squares could matter, is always left open, and one whose
+    sum overflows reads inf, which is never below t.  So every trial
+    counts exactly as its SVD would count it, and the result does not
+    depend on the screen.
     """
     _check_positive_finite(sigma, "sigma")
     if not math.isfinite(t):
@@ -123,8 +152,10 @@ def tail_bound_montecarlo(
             block = rng.standard_normal((min(_TAIL_BLOCK, trials - start), m, n))
             block *= sigma
             block[:, ~mask] = 0.0
-            norms = np.linalg.svd(block, compute_uv=False)
-            exceed += int(np.count_nonzero(norms[:, 0] >= t))
+            open_ = _open_trials(block, t)
+            if open_.any():
+                norms = np.linalg.svd(block[open_], compute_uv=False)
+                exceed += int(np.count_nonzero(norms[:, 0] >= t))
     empirical = exceed / trials
     se = math.sqrt(empirical * (1.0 - empirical) / trials)
     holds = empirical <= bound + 3.0 * se

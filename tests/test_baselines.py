@@ -111,8 +111,9 @@ class TestItspca:
 
 def _loop_itspca(a, threshold, max_iter=1000, tol=1e-8):
     """The itspca loop before it was trimmed, kept as the reference:
-    np.linalg.norm and an inline soft threshold.  Returns (support,
-    iterations, delta)."""
+    np.linalg.norm and an inline soft threshold, with the sign-invariant
+    step size min(||w - v||, ||w + v||).  Returns (support, iterations,
+    delta)."""
     d = a.shape[0]
     v = np.ones(d) / np.sqrt(d)
     delta = np.inf
@@ -124,7 +125,7 @@ def _loop_itspca(a, threshold, max_iter=1000, tol=1e-8):
         if nw == 0.0:
             raise ThresholdTooLarge(f"iterate collapsed to zero at threshold {threshold}")
         w /= nw
-        delta = np.linalg.norm(w - v)
+        delta = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
         v = w
         if delta <= tol:
             break
@@ -159,6 +160,8 @@ class TestItspcaMatchesLoop:
     # the iterate flips between (1, 1) and (1, -1) / sqrt(2)
     @example(a=np.diag([1.0, -1.0]), threshold=0.0, max_iter=1000)
     @example(a=np.diag([1.0, -1.0]), threshold=0.0, max_iter=1001)
+    # the top-magnitude eigenvalue is negative: the iterate flips sign
+    @example(a=_itspca_matrix(5, 0, False), threshold=0.0, max_iter=1000)
     @example(a=_PERIOD_4, threshold=1.0, max_iter=999)
     @example(a=_PERIOD_4, threshold=1.0, max_iter=1000)
     @example(a=_PERIOD_12, threshold=0.3, max_iter=1000)
@@ -178,6 +181,18 @@ class TestItspcaMatchesLoop:
         assert type(res.diagnostics["delta"]) is float
         period = res.diagnostics["cycle_period"]
         assert period == 0 or (period >= 2 and not res.diagnostics["converged"])
+
+    def test_negative_top_eigenvalue_converges(self):
+        # the top-magnitude eigenvalue is negative, so the iterate flips
+        # sign every step; the sign-invariant step size still settles
+        a = _itspca_matrix(5, 0, False)
+        vals = np.linalg.eigvalsh(a)
+        assert -vals[0] > vals[-1] > 0
+        res = itspca(SymMatrix(a), 0.0)
+        assert res.diagnostics["converged"] is True
+        assert res.diagnostics["cycle_period"] == 0
+        assert res.diagnostics["iterations"] < 1000
+        assert res.diagnostics["delta"] <= 1e-8
 
     @pytest.mark.parametrize(
         "a, threshold, period, closed_at",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spcarec.bounds import (
     _TAIL_BLOCK,
+    _open_trials,
     masking_difference_check,
     tail_bound_montecarlo,
     tail_bound_value,
@@ -226,18 +227,67 @@ class TestTailMatchesPerTrialLoop:
     @example(m=3, n=0, density=1.0, sigma=1.0, t=0.5, trials=1001, seed=1)
     @example(m=4, n=5, density=0.0, sigma=1.0, t=0.0, trials=1000, seed=2)
     @example(m=4, n=5, density=0.0, sigma=1.0, t=0.5, trials=1001, seed=3)
+    # on a single row or column ||Z||_2 = ||Z||_F = the row (column) norm,
+    # so the norm bounds are tight and only the screen's margin keeps its
+    # decisions equal to the SVD's
+    @example(m=1, n=8, density=1.0, sigma=1.0, t=2.5, trials=1000, seed=4)
+    @example(m=1, n=5, density=0.7, sigma=3.0, t=6.0, trials=1001, seed=5)
+    @example(m=6, n=1, density=1.0, sigma=0.5, t=1.0, trials=_WHOLE_BLOCKS, seed=6)
+    @example(m=4, n=1, density=0.7, sigma=0.1, t=0.3, trials=1000, seed=7)
     def test_exceedances_equal(self, m, n, density, sigma, t, trials, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((m, n)) < density
         pattern = bipartite_from_mask(mask)
         norms = _per_trial_tail_norms(sigma, mask, trials, seed)
         # at t equal to the first or last trial's norm and just above it,
-        # the counts differ unless that trial's draw is counted exactly once
+        # the counts differ unless that trial's draw is counted exactly once;
+        # at 1e-12 relative on either side the norm bounds nearly decide it
         edge = [norms[0], norms[-1]]
-        for t in [t] + edge + [np.nextafter(x, np.inf) for x in edge]:
+        near = [x * (1.0 + e) for x in edge for e in (-1e-12, 1e-12)]
+        for t in [t] + edge + [np.nextafter(x, np.inf) for x in edge] + near:
             check = tail_bound_montecarlo(sigma, pattern, t, trials, seed)
             empirical = sum(norm >= t for norm in norms) / trials
             se = math.sqrt(empirical * (1.0 - empirical) / trials)
             assert check.empirical == empirical
             assert check.holds == (empirical <= check.bound + 3.0 * se)
             assert check.trials == trials
+
+
+class TestTailScreen:
+    """The Frobenius bound decides trials below t without an SVD where it
+    can, and leaves the rest to the SVD."""
+
+    @staticmethod
+    def _count_svd_trials(monkeypatch):
+        sent = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            sent.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return sent
+
+    def test_no_svd_in_far_tail(self, monkeypatch):
+        sent = self._count_svd_trials(monkeypatch)
+        pattern = bipartite_from_mask(np.ones((5, 5), dtype=bool))
+        assert tail_bound_montecarlo(1.0, pattern, 20.0, 1000, 1).empirical == 0.0
+        assert sent == []
+
+    def test_open_trials_go_to_svd(self, monkeypatch):
+        mask = np.ones((5, 5), dtype=bool)
+        norms = _per_trial_tail_norms(1.0, mask, 1000, 8)
+        t = float(np.quantile(norms, 0.9))
+        sent = self._count_svd_trials(monkeypatch)
+        check = tail_bound_montecarlo(1.0, bipartite_from_mask(mask), t, 1000, 8)
+        assert 0.0 < check.empirical < 1.0
+        assert check.empirical == sum(norm >= t for norm in norms) / 1000
+        assert 0 < sum(sent) < 1000
+
+    def test_squares_out_of_range_left_open(self):
+        # the squares of 1e-165 underflow to 0, so the sum would read
+        # ||Z||_F = 0 < 1e-165 where ||Z||_2 is 2e-165; those of 1e155
+        # overflow, so it reads inf, which is never below t
+        for x, t in ((1e-165, 1e-165), (1e155, 3e155)):
+            assert _open_trials(np.full((1, 2, 2), x), t).tolist() == [True]
