@@ -60,7 +60,6 @@ from .sdp import (
     SdpSolution,
     WitnessReport,
     kkt_report,
-    solve_restricted,
     solve_sdp,
     support_of,
     witness_certificate,

@@ -158,10 +158,9 @@ def _complete_nuclear(
     eigendecomposition.  A run converges when the residual
     max(|w - y|_max, |y - y_old|_max) <= tol and the certified gap is
     <= tol max(1, ||Y||_*); the gap is evaluated once the residual test
-    holds, and on the last iteration.
+    holds, and on the last iteration.  The callers pass a positive finite
+    tol and max_iter >= 1.
     """
-    _check_positive_finite(tol, "tol")
-    _check_max_iter(max_iter)
     y = np.where(observed, m, 0.0)
     u = np.zeros_like(y)
     s = y
@@ -195,22 +194,18 @@ def _complete_nuclear(
     }
 
 
-def complete_nuclear(
-    m: SymMatrix,
-    g: ObservationGraph,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-) -> SymMatrix:
+def complete_nuclear(m: SymMatrix, g: ObservationGraph) -> SymMatrix:
     """Fill the unobserved entries by nuclear-norm minimization.
 
     The returned matrix is symmetric and agrees exactly with the observed
-    entries of m.  The certified gap is the stopping rule and is not returned.
+    entries of m.  The solve runs at tol 1e-6 for at most 5000 iterations;
+    its certified gap is the stopping rule and is not returned.
     """
     m = SymMatrix(m)
     if not g.mask.any():
         raise ValueError("observation graph has no edges")
     if g.n != m.dim:
         raise ValueError("graph and matrix dimension mismatch")
-    y, _ = _complete_nuclear(m.a, g.mask, tol, max_iter)
+    y, _ = _complete_nuclear(m.a, g.mask, 1e-6, 5000)
     return SymMatrix(y)
 

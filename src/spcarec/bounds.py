@@ -88,11 +88,13 @@ class TailBoundCheck:
 
 
 def tail_bound_value(m: int, n: int, sigma: float, max_degree: int, t: float) -> float:
-    """2(m+n) exp(-t^2 / (2 sigma^2 Dmax)); degenerates to 0 for an empty
-    pattern with t > 0 (the matrix is identically zero)."""
+    """2(m+n) exp(-r^2 / (2 Dmax)) with r = t / sigma, which keeps an extreme
+    sigma from squaring to 0 or inf; 0 for an empty pattern with t > 0 (the
+    matrix is identically zero) and where r overflows."""
     if max_degree == 0:
         return 2.0 * (m + n) if t <= 0 else 0.0
-    return 2.0 * (m + n) * math.exp(-(t * t) / (2.0 * sigma * sigma * max_degree))
+    r = float(t) / float(sigma)
+    return 2.0 * (m + n) * math.exp(-(r * r) / (2.0 * max_degree))
 
 
 def _open_trials(block: np.ndarray, t: float) -> np.ndarray:

@@ -15,7 +15,7 @@ type-II Anderson acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "KktReport",
     "WitnessReport",
     "solve_sdp",
-    "solve_restricted",
     "support_of",
     "kkt_report",
     "witness_certificate",
@@ -148,11 +147,11 @@ class SdpSolution:
     gap: float
     support: frozenset
     converged: bool
-    # exact l1 subgradient extracted from the scaled dual variable
-    # (None when rho == 0, where the subgradient is immaterial)
-    z_dual: np.ndarray | None = field(default=None, repr=False)
+    # the l1 subgradient Z behind `gap`: a d x d array with |Z|_max <= 1
+    # when rho > 0, None when rho == 0, where the subgradient is immaterial
+    z_dual: np.ndarray | None = field(repr=False)
     # internal warm-start state (y, u, beta)
-    _state: tuple = field(default=None, repr=False)
+    _state: tuple = field(repr=False)
 
 
 def _certificate(
@@ -281,34 +280,12 @@ def solve_sdp(
     """
     m = SymMatrix(m)
     _check_solver_args(rho, tol, max_iter)
-    state = warm_start._state if warm_start is not None else None
-    if state is not None and state[0].shape != (m.dim, m.dim):
-        raise ValueError("warm_start comes from a problem of another dimension")
+    state = None
+    if warm_start is not None:
+        state = warm_start._state
+        if state[0].shape != (m.dim, m.dim):
+            raise ValueError("warm_start comes from a problem of another dimension")
     return _admm(m.a, float(rho), tol, max_iter, state)
-
-
-def solve_restricted(
-    m: SymMatrix,
-    rho: float,
-    support,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
-    """Solve with the optimizer constrained to support x support.
-
-    Solves the |J| x |J| subproblem and embeds the optimizer back into the
-    full dimension.
-    """
-    m = SymMatrix(m)
-    _check_solver_args(rho, tol, max_iter)
-    idx, _ = _support_arrays(m.dim, support)
-    sub = _admm(m.a[np.ix_(idx, idx)], float(rho), tol, max_iter, None)
-    x = np.zeros((m.dim, m.dim))
-    x[np.ix_(idx, idx)] = sub.x_hat.a
-    x_hat = SymMatrix(x)
-    return replace(
-        sub, x_hat=x_hat, support=support_of(x_hat), z_dual=None, _state=None
-    )
 
 
 def support_of(x_hat: SymMatrix) -> frozenset:
@@ -340,12 +317,11 @@ def kkt_report(
 ) -> KktReport:
     """Evaluate the first-order optimality system at x_hat.
 
-    A subgradient Z of the l1 term is taken from `z_hat` when provided
-    (e.g. the solver's dual variable); otherwise it is reconstructed as
-    sign(x) on the numerically nonzero entries and clip(m/rho, -1, 1)
-    elsewhere.  The report contains mu = lambda_1(M - rho Z), the
-    stationarity residual ||(M - rho Z) X - mu X||_max and the feasibility
-    violations of X.
+    The subgradient Z of the l1 term is `z_hat`, clipped to [-1, 1], e.g.
+    the solver's `z_dual`; it is required when rho > 0 and may be None at
+    rho == 0, where Z is immaterial.  The report contains
+    mu = lambda_1(M - rho Z), the stationarity residual
+    ||(M - rho Z) X - mu X||_max and the feasibility violations of X.
     """
     m = SymMatrix(m)
     x_hat = SymMatrix(x_hat)
@@ -359,9 +335,7 @@ def kkt_report(
         if np.isnan(z).any():
             raise ValueError("z_hat must not contain NaN")
     elif rho > 0:
-        cutoff = 1e-8 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        z = np.where(np.abs(x) > cutoff, np.sign(x), np.clip(m.a / rho, -1.0, 1.0))
-        z = 0.5 * (z + z.T)
+        raise ValueError("z_hat is required when rho > 0")
     else:
         z = np.zeros_like(x)
     a = m.a - rho * z

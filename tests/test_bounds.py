@@ -142,6 +142,12 @@ class TestTailBoundValue:
         assert tail_bound_value(4, 4, 1.0, 0, 1.0) == 0.0
         assert tail_bound_value(4, 4, 1.0, 0, 0.0) == 16.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma, t", [(1e-170, 1e170), (1e-300, 1e10), (5e-324, 2.0)])
+    def test_overflowing_ratio_gives_zero(self, sigma, t):
+        assert math.isinf(t / sigma)
+        assert tail_bound_value(4, 4, sigma, 3, t) == 0.0
+
 
 class TestTheorem2MonteCarlo:
     def test_t_zero_trivial(self):
@@ -234,6 +240,9 @@ class TestTailMatchesPerTrialLoop:
     @example(m=1, n=5, density=0.7, sigma=3.0, t=6.0, trials=1001, seed=5)
     @example(m=6, n=1, density=1.0, sigma=0.5, t=1.0, trials=_WHOLE_BLOCKS, seed=6)
     @example(m=4, n=1, density=0.7, sigma=0.1, t=0.3, trials=1000, seed=7)
+    # sigma^2 underflows to 0 and overflows to inf; the bound stays finite
+    @example(m=4, n=5, density=0.7, sigma=1e-170, t=1.0, trials=1000, seed=8)
+    @example(m=4, n=5, density=0.7, sigma=1e170, t=1.0, trials=1000, seed=9)
     def test_exceedances_equal(self, m, n, density, sigma, t, trials, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((m, n)) < density

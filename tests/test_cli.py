@@ -527,6 +527,17 @@ class TestBounds:
             "t=4  bound=2.16536  empirical=0.093  trials=1000  holds=True\n"
         )
 
+    @pytest.mark.parametrize("sigma", ["1e-170", "1e170"])
+    def test_thm2_extreme_sigma(self, capsys, sigma):
+        # sigma^2 underflows to 0 (a ZeroDivisionError) and overflows to inf
+        # (bound=nan, holds=False) in the bound's exponent unless t / sigma
+        # is squared instead
+        code = main(["bounds", "--check", "thm2", "--sigma", sigma, "--trials", "1000"])
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "  bound=0.2  " in captured
+        assert captured.endswith("  holds=True\n")
+
     @pytest.mark.parametrize("density", ["nan", "-0.5", "1.5", "inf"])
     def test_thm2_density_not_a_probability_exit_code(self, capsys, density):
         code = main(["bounds", "--check", "thm2", "--density", density, "--trials", "10"])

@@ -32,7 +32,6 @@ from spcarec.graph import (
 )
 from spcarec.harness import DEFAULT_MAX_TRIES, gen_instance
 from spcarec.numerics import SymMatrix, spectral_norm
-from spcarec.sdp import solve_restricted
 from spcarec.spca import theoretical_rho
 
 from helpers import _complete_with_loops
@@ -668,8 +667,6 @@ class TestIndexSetRule:
             ("left set", lambda g, nodes: bipartite_block(g, nodes)),
             ("support", lambda g, nodes: random_graph_bucketed(
                 g.n, 20, nodes, 0.0, 1.0, 5, 0)),
-            ("support", lambda g, nodes: solve_restricted(
-                SymMatrix(np.eye(g.n)), 0.1, nodes)),
             ("support", lambda g, nodes: gen_instance(
                 g.n, max(len(nodes), 1), 1.0, 0.0, g, 0, support=nodes)),
             ("support", lambda g, nodes: theoretical_rho(

@@ -28,7 +28,6 @@ from spcarec.sdp import (
     _support_arrays,
     _witness_window,
     kkt_report,
-    solve_restricted,
     solve_sdp,
     support_of,
     witness_certificate,
@@ -433,9 +432,6 @@ class TestSolveSdp:
         for tol in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="tol must be a positive finite"):
                 solve_sdp(m, 0.1, tol=tol)
-        # an infinite tol would certify any one-iteration solve
-        with pytest.raises(ValueError, match="tol must be a positive finite"):
-            solve_restricted(m, 0.1, [0], tol=np.inf)
         with pytest.raises(ValueError, match="tol must be a positive finite"):
             tune_rho(m, (0.1,), 0.5, tol=np.inf)
 
@@ -673,66 +669,42 @@ class TestCertifiedConvergence:
             assert sol.gap <= tol * max(1.0, abs(sol.objective))
 
 
-class TestSolveRestricted:
-    def test_full_support_matches_unrestricted(self):
-        rng = np.random.default_rng(24)
-        m = _random_sym(rng, 6)
-        full = solve_sdp(m, 0.3)
-        rest = solve_restricted(m, 0.3, range(6))
-        assert abs(full.objective - rest.objective) <= 1e-6
-        np.testing.assert_allclose(full.x_hat.a, rest.x_hat.a, atol=1e-5)
+class TestDualAlwaysReported:
+    """Every solution carries the dual behind its gap: a d x d z_dual with
+    |Z|_max <= 1 when rho > 0, None when rho == 0, and a warm-start state."""
 
-    def test_singleton(self):
-        rng = np.random.default_rng(25)
-        m = _random_sym(rng, 5)
-        sol = solve_restricted(m, 0.4, [0])
-        expected = np.zeros((5, 5))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(sol.x_hat.a, expected, atol=1e-8)
-        assert sol.objective == pytest.approx(m.a[0, 0] - 0.4, abs=1e-8)
-        # the restricted solve reports its 1 x 1 sub-solve's gap
-        assert sol.converged
-        assert -1e-10 <= sol.gap <= 1e-6
-
-    def test_excluded_coordinate_ignored(self):
-        sol = solve_restricted(SymMatrix(np.diag([3.0, 2.0, 10.0])), 0.0, [0, 1])
-        expected = np.zeros((3, 3))
-        expected[0, 0] = 1.0
-        np.testing.assert_allclose(sol.x_hat.a, expected, atol=1e-4)
-
-    def test_objective_never_beats_unrestricted(self):
-        rng = np.random.default_rng(26)
-        for _ in range(10):
-            d = int(rng.integers(3, 9))
-            m = _random_sym(rng, d)
-            rho = float(rng.uniform(0, 0.6))
-            k = int(rng.integers(1, d))
-            full = solve_sdp(m, rho)
-            rest = solve_restricted(m, rho, range(k))
-            assert rest.objective <= full.objective + 1e-6
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            solve_restricted(SymMatrix(np.eye(3)), 0.1, [])
-
-    def test_out_of_range_support_rejected(self):
-        for support in ([0, 3], [-1, 1]):
-            with pytest.raises(ValueError, match="out of range"):
-                solve_restricted(SymMatrix(np.eye(3)), 0.1, support)
-
-    def test_diagnostics_are_the_sub_solve(self):
-        rng = np.random.default_rng(27)
-        m = _random_sym(rng, 7)
-        idx = [1, 3, 4]
-        rest = solve_restricted(m, 0.2, [4, 1, 3, 1])
-        sub = solve_sdp(SymMatrix(m.a[np.ix_(idx, idx)]), 0.2)
-        for name in ("objective", "iterations", "primal_residual",
-                     "dual_residual", "gap", "converged"):
-            assert getattr(rest, name) == getattr(sub, name)
-        assert np.array_equal(rest.x_hat.a[np.ix_(idx, idx)], sub.x_hat.a)
-        assert rest.x_hat.dim == 7
-        assert rest.support == {idx[i] for i in sub.support}
-        assert rest.z_dual is None and rest._state is None
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.booleans(),
+        rho0=st.one_of(st.just(0.0), st.floats(0.001, 1.0)),
+        rho1=st.one_of(st.just(0.0), st.floats(0.001, 1.0)),
+        max_iter=st.sampled_from([1, 50, DEFAULT_MAX_ITER]),
+    )
+    def test_cold_warm_and_witness(self, d, seed, planted, rho0, rho1, max_iter):
+        rng = np.random.default_rng(seed)
+        m = _planted(rng, d) if planted else _random_sym(rng, d)
+        cold = solve_sdp(m, rho0, max_iter=max_iter)
+        warm = solve_sdp(m, rho1, max_iter=max_iter, warm_start=cold)
+        for sol, rho in ((cold, rho0), (warm, rho1)):
+            assert len(sol._state) == 3
+            if rho > 0:
+                assert sol.z_dual.shape == (d, d)
+                assert np.abs(sol.z_dual).max() <= 1.0
+            else:
+                assert sol.z_dual is None
+        if rho0 == 0:
+            return
+        rhos = (1.1 * rho0, 1.5 * rho0, 2.0 * rho0)
+        certified, start = _witness_window(m.a, rhos, cold, DEFAULT_TOL)
+        for sol in certified:
+            assert sol.z_dual.shape == (d, d)
+            assert np.abs(sol.z_dual).max() <= 1.0
+        # a declined candidate's Z may exceed 1 off the support, which is
+        # why it was declined; it is only ever a warm start
+        if start is not None:
+            assert start.z_dual.shape == (d, d) and len(start._state) == 3
 
 
 class TestSupportOf:
@@ -788,7 +760,8 @@ class TestKktReport:
     def test_infeasible_detected(self):
         rng = np.random.default_rng(27)
         x = rng.standard_normal((4, 4))
-        rep = kkt_report(SymMatrix(np.eye(4)), 0.1, SymMatrix(x + x.T))
+        z = np.sign(x + x.T)
+        rep = kkt_report(SymMatrix(np.eye(4)), 0.1, SymMatrix(x + x.T), z)
         assert rep.trace_violation > 1e-3 or rep.min_eigenvalue < -1e-3
 
     @pytest.mark.parametrize(
@@ -808,14 +781,14 @@ class TestKktReport:
         with pytest.raises(ValueError, match="rho must be a nonnegative finite"):
             kkt_report(m, rho, SymMatrix(np.diag([1.0, 0.0])))
 
-    def test_heuristic_subgradient_matches_solver_dual(self):
+    def test_z_hat_required_when_rho_positive(self):
         rng = np.random.default_rng(28)
         m = _simple_top(rng, 6)
         sol = solve_sdp(m, 0.3)
+        with pytest.raises(ValueError, match="^z_hat is required when rho > 0$"):
+            kkt_report(m, 0.3, sol.x_hat)
         with_dual = kkt_report(m, 0.3, sol.x_hat, sol.z_dual)
-        heuristic = kkt_report(m, 0.3, sol.x_hat)
         assert with_dual.stationarity_residual <= 1e-6
-        assert heuristic.stationarity_residual <= 1e-4
 
 
 class TestWitnessCertificate:
