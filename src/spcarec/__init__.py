@@ -27,7 +27,6 @@ from .graph import (
     adjacency,
     algebraic_connectivity,
     bipartite_block,
-    bipartite_from_mask,
     complement,
     degrees,
     graph_from_mask,
@@ -68,8 +67,6 @@ from .spca import (
     ConditionReport,
     InequalityRecord,
     TuningTrace,
-    criterion,
-    recover_support,
     rescaled_parameter,
     sufficient_conditions_report,
     theoretical_rho,

@@ -9,6 +9,7 @@ experiments solve the filled matrix with the spectrahedron solver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def dtspca(m: SymMatrix, k: int) -> BaselineResult:
     """Support = indices of the k largest diagonal entries; ties go to the
     lowest index."""
     m = SymMatrix(m)
-    if not 1 <= k <= m.dim:
-        raise ValueError(f"k must be in [1, {m.dim}]")
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= m.dim:
+        raise ValueError(f"k must be an integer in [1, {m.dim}]")
     diag = np.diag(m.a)
     # lexsort: primary key descending diagonal, secondary ascending index
     order = np.lexsort((np.arange(m.dim), -diag))

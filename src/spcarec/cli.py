@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import tail_bound_montecarlo, masking_difference_check
 from .errors import Disconnected, IrregularityUndefined
-from .graph import bipartite_from_mask, graph_from_mask, random_graph
+from .graph import BipartiteSubgraph, graph_from_mask, random_graph
 from .harness import (
     _METHODS,
     emit_csv,
@@ -155,6 +155,8 @@ def _cmd_experiment(args) -> int:
                 f"--method {args.method} applies only to pitprops mode; "
                 "synthetic mode runs sdp"
             )
+        if args.matrix is not None:
+            raise ValueError("--matrix applies only to pitprops mode")
         rows = run_bucket_experiment(
             args.d, args.s, args.gap, given.pop("sigma", 0.0), args.budget,
             buckets, rng_seed=args.seed, **given,
@@ -186,7 +188,7 @@ def _cmd_bounds(args) -> int:
                 raise ValueError(f"--{flag} must be at least 1")
         rng = np.random.default_rng(np.random.SeedSequence(args.pattern_seed))
         mask = rng.random((args.m, args.n)) < args.density
-        pattern = bipartite_from_mask(mask)
+        pattern = BipartiteSubgraph(mask)
         dmax = pattern.max_degree()
         if args.t is not None:
             t = args.t

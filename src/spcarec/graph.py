@@ -34,7 +34,6 @@ __all__ = [
     "random_graph",
     "random_graph_bucketed",
     "graph_from_mask",
-    "bipartite_from_mask",
 ]
 
 _EIG_ZERO_TOL = 1e-8
@@ -115,11 +114,6 @@ class BipartiteSubgraph:
 def _bipartite_max_degree(p: np.ndarray) -> int:
     """Max row or column count of a bool bipartite pattern."""
     return int(max(p.sum(axis=1).max(initial=0), p.sum(axis=0).max(initial=0)))
-
-
-def bipartite_from_mask(mask) -> BipartiteSubgraph:
-    """Build a bipartite pattern from an m x n boolean/0-1 array."""
-    return BipartiteSubgraph(mask)
 
 
 def adjacency(g: ObservationGraph) -> SymMatrix:

@@ -475,7 +475,12 @@ def load_matrix_csv(path, mask_path=None) -> tuple[SymMatrix, ObservationGraph]:
 
 def write_matrix_csv(path, m: SymMatrix, graph: ObservationGraph | None = None,
                      names=None) -> None:
-    """Write a matrix CSV, with NA at entries the graph marks unobserved."""
+    """Write a matrix CSV, with NA at entries the graph marks unobserved.
+
+    `names`, if given, is the header row and needs one name per dimension.
+    """
+    if names is not None and len(names) != m.dim:
+        raise ValueError(f"names has {len(names)} entries for dimension {m.dim}")
     observed = graph.mask if graph is not None else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

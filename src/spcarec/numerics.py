@@ -121,11 +121,13 @@ def spectral_norm(a) -> float:
     """Largest singular value of a rectangular matrix.
 
     For symmetric input this equals the largest absolute eigenvalue.
-    Empty matrices have norm 0.
+    A 1-d input is read as a row vector.  Empty matrices have norm 0.
     """
     if isinstance(a, SymMatrix):
         a = a.a
     arr = np.atleast_2d(np.asarray(a, dtype=float))
+    if arr.ndim > 2:
+        raise ValueError(f"expected at most 2 dimensions, got shape {arr.shape}")
     if arr.size == 0:
         return 0.0
     if not np.all(np.isfinite(arr)):

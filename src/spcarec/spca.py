@@ -1,9 +1,11 @@
 """Support recovery, tuning of the penalty, and theoretical diagnostics.
 
-The user-facing entry point is recover_support / tune_rho.  The remaining
-functions evaluate the theory-side quantities (theoretical penalty choice,
-rescaled difficulty parameter, sufficient-condition report) and need the
-ground truth, the observation graph and the noise level.
+The user-facing entry points are sdp.solve_sdp, whose `support` is the
+support recovered at one penalty, and tune_rho, which picks the penalty by
+the tuning criterion.  The remaining functions evaluate the theory-side
+quantities (theoretical penalty choice, rescaled difficulty parameter,
+sufficient-condition report) and need the ground truth, the observation
+graph and the noise level.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ __all__ = [
     "TuningTrace",
     "InequalityRecord",
     "ConditionReport",
-    "recover_support",
-    "criterion",
     "tune_rho",
     "theoretical_rho",
     "rescaled_parameter",
@@ -63,19 +63,6 @@ DEFAULT_RHO_GRID = _grid(0.025, 1.0, 0.025)
 # cuts it short: the dense rho = 0 support usually shrinks within a few
 # points, and a window beyond the first decline is wasted
 _FIRST_WINDOW = 4
-
-
-def recover_support(m: SymMatrix, rho: float) -> tuple[frozenset, SdpSolution]:
-    """Solve the penalized problem and read the support off the diagonal.
-
-    An identically zero observation carries no signal and returns the
-    empty support.
-    """
-    m = SymMatrix(m)
-    sol = solve_sdp(m, rho)
-    if not np.any(m.a):
-        return frozenset(), sol
-    return sol.support, sol
 
 
 def _explained(m: np.ndarray, x: np.ndarray) -> float:
@@ -110,15 +97,6 @@ def _criterion_value(
     return (1.0 - a) * explained_rho / baseline + a * (1.0 - support_size / d)
 
 
-def criterion(m: SymMatrix, rho: float, a: float) -> float:
-    """Tuning criterion: explained-variance ratio traded against sparsity.
-
-    C = (1-a) <M, X_rho> / <M, X_0> + a (1 - |supp(diag(X_rho))| / d),
-    evaluated as the one-point grid search tune_rho(m, (rho,), a).
-    """
-    return tune_rho(m, (rho,), a).criteria[0]
-
-
 @dataclass(frozen=True)
 class TuningTrace:
     """Grid search record; grid is stored in ascending order.
@@ -150,6 +128,8 @@ def tune_rho(
 ) -> TuningTrace:
     """Evaluate the criterion over a grid of penalties and pick the best.
 
+    The criterion trades the explained-variance ratio against sparsity:
+    C = (1-a) <M, X_rho> / <M, X_0> + a (1 - |supp(diag(X_rho))| / d).
     Ties are broken toward the larger penalty.  At each rho > 0 a rank-one
     primal-dual witness on the previous grid point's support and sign
     pattern is tried first, and kept only when its duality gap on the full

@@ -16,10 +16,10 @@ import pytest
 from spcarec.bounds import tail_bound_montecarlo, masking_difference_check
 from spcarec.errors import Disconnected, IrregularityUndefined
 from spcarec.graph import (
+    BipartiteSubgraph,
     ObservationGraph,
     adjacency,
     algebraic_connectivity,
-    bipartite_from_mask,
     complement,
     degrees,
     random_graph,
@@ -184,7 +184,7 @@ def test_05_tail_bound_reference_level():
         mask = rng.random((m_rows, n_cols)) < density
         if not mask.any():
             mask[0, 0] = True
-        pattern = bipartite_from_mask(mask)
+        pattern = BipartiteSubgraph(mask)
         dmax = pattern.max_degree()
         t = 2.0 * sigma * math.sqrt(dmax * math.log(m_rows + n_cols))
         check = tail_bound_montecarlo(sigma, pattern, t, 10_000, seed)

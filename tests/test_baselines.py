@@ -17,7 +17,6 @@ from spcarec.errors import ThresholdTooLarge
 from spcarec.graph import ObservationGraph, adjacency, graph_from_mask, random_graph
 from spcarec.numerics import SymMatrix, eigh
 from spcarec.sdp import _Anderson, solve_sdp
-from spcarec.spca import recover_support
 
 from helpers import _complete_with_loops
 
@@ -61,6 +60,11 @@ class TestDtspca:
             dtspca(SymMatrix(np.eye(3)), 0)
         with pytest.raises(ValueError):
             dtspca(SymMatrix(np.eye(3)), 4)
+
+    def test_k_must_be_integer(self):
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 3\]"):
+            dtspca(SymMatrix(np.eye(3)), 1.5)
+        assert dtspca(SymMatrix(np.diag([1.0, 3.0, 2.0])), np.int64(2)).support == {1, 2}
 
 
 class TestItspca:
@@ -425,8 +429,7 @@ class TestCompletionThenSolve:
         a = rng.standard_normal((6, 6))
         m = SymMatrix(a + a.T)
         res = solve_sdp(complete_nuclear(m, _complete_with_loops(6)), 0.2)
-        direct, _ = recover_support(m, 0.2)
-        assert res.support == direct
+        assert res.support == solve_sdp(m, 0.2).support
 
     def test_rank_one_well_observed(self):
         rng = np.random.default_rng(96)

@@ -17,8 +17,8 @@ from spcarec.bounds import (
 )
 from spcarec.errors import Disconnected, IrregularityUndefined
 from spcarec.graph import (
+    BipartiteSubgraph,
     ObservationGraph,
-    bipartite_from_mask,
     random_graph,
 )
 from spcarec.numerics import SymMatrix
@@ -151,14 +151,14 @@ class TestTailBoundValue:
 
 class TestTheorem2MonteCarlo:
     def test_t_zero_trivial(self):
-        pattern = bipartite_from_mask(np.ones((3, 3), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((3, 3), dtype=bool))
         check = tail_bound_montecarlo(1.0, pattern, 0.0, 1000, 0)
         assert check.empirical == 1.0
         assert check.bound >= 1.0
         assert check.holds
 
     def test_far_tail(self):
-        pattern = bipartite_from_mask(np.ones((5, 5), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((5, 5), dtype=bool))
         check = tail_bound_montecarlo(1.0, pattern, 20.0, 1000, 1)
         assert check.empirical == 0.0
         assert check.holds
@@ -167,7 +167,7 @@ class TestTheorem2MonteCarlo:
         # at t = 2 sigma sqrt(Dmax log(m+n)) the bound collapses to 2/(m+n)
         m = n = 4
         sigma = 1.0
-        pattern = bipartite_from_mask(np.ones((m, n), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((m, n), dtype=bool))
         dmax = pattern.max_degree()
         t = 2.0 * sigma * math.sqrt(dmax * math.log(m + n))
         check = tail_bound_montecarlo(sigma, pattern, t, 2000, 2)
@@ -177,19 +177,19 @@ class TestTheorem2MonteCarlo:
         assert check.holds
 
     def test_empty_pattern(self):
-        pattern = bipartite_from_mask(np.zeros((3, 2), dtype=bool))
+        pattern = BipartiteSubgraph(np.zeros((3, 2), dtype=bool))
         check = tail_bound_montecarlo(1.0, pattern, 0.5, 1000, 3)
         assert check.empirical == 0.0
         assert check.holds
 
     def test_schedule_independent(self):
-        pattern = bipartite_from_mask(np.ones((3, 3), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((3, 3), dtype=bool))
         a = tail_bound_montecarlo(1.0, pattern, 3.0, 1000, 4)
         b = tail_bound_montecarlo(1.0, pattern, 3.0, 1000, 4)
         assert a == b
 
     def test_validation(self):
-        pattern = bipartite_from_mask(np.ones((2, 2), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((2, 2), dtype=bool))
         for sigma in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="sigma must be a positive finite"):
                 tail_bound_montecarlo(sigma, pattern, 1.0, 1000, 0)
@@ -246,7 +246,7 @@ class TestTailMatchesPerTrialLoop:
     def test_exceedances_equal(self, m, n, density, sigma, t, trials, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((m, n)) < density
-        pattern = bipartite_from_mask(mask)
+        pattern = BipartiteSubgraph(mask)
         norms = _per_trial_tail_norms(sigma, mask, trials, seed)
         # at t equal to the first or last trial's norm and just above it,
         # the counts differ unless that trial's draw is counted exactly once;
@@ -280,7 +280,7 @@ class TestTailScreen:
 
     def test_no_svd_in_far_tail(self, monkeypatch):
         sent = self._count_svd_trials(monkeypatch)
-        pattern = bipartite_from_mask(np.ones((5, 5), dtype=bool))
+        pattern = BipartiteSubgraph(np.ones((5, 5), dtype=bool))
         assert tail_bound_montecarlo(1.0, pattern, 20.0, 1000, 1).empirical == 0.0
         assert sent == []
 
@@ -289,7 +289,7 @@ class TestTailScreen:
         norms = _per_trial_tail_norms(1.0, mask, 1000, 8)
         t = float(np.quantile(norms, 0.9))
         sent = self._count_svd_trials(monkeypatch)
-        check = tail_bound_montecarlo(1.0, bipartite_from_mask(mask), t, 1000, 8)
+        check = tail_bound_montecarlo(1.0, BipartiteSubgraph(mask), t, 1000, 8)
         assert 0.0 < check.empirical < 1.0
         assert check.empirical == sum(norm >= t for norm in norms) / 1000
         assert 0 < sum(sent) < 1000

@@ -320,6 +320,22 @@ class TestExperiment:
             assert "synthetic mode runs sdp" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_synthetic_rejects_matrix(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("no draw may start")
+
+        monkeypatch.setattr(cli, "run_bucket_experiment", fail)
+        argv = [
+            "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
+            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
+            "--matrix", str(tmp_path / "m.csv"), "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: --matrix applies only to pitprops mode" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
     def test_default_grid_is_the_library_grid(self, tmp_path, monkeypatch):
         grids = []
         real = harness.tune_rho
@@ -398,9 +414,11 @@ class TestExperiment:
         runner = "run_bucket_experiment" if mode == "synthetic" else "pitprops_experiment"
         monkeypatch.setattr(cli, runner, fake)
         argv = [
-            "experiment", "--mode", mode, "--matrix", "p.csv", "--buckets", "0:2",
+            "experiment", "--mode", mode, "--buckets", "0:2",
             "--out", str(tmp_path / "r.csv"),
         ]
+        if mode == "pitprops":
+            argv += ["--matrix", "p.csv"]
         assert main(argv) == 0
         assert not seen.keys() & {"reps", "rho_grid", "a", "sigma"}
         given = [

@@ -11,6 +11,7 @@ from spcarec import graph
 from spcarec.bounds import masking_difference_check, tau
 from spcarec.errors import BucketExhausted, Disconnected, IrregularityUndefined
 from spcarec.graph import (
+    BipartiteSubgraph,
     ObservationGraph,
     _draw_pairs,
     _graph_of_pairs,
@@ -20,7 +21,6 @@ from spcarec.graph import (
     adjacency,
     algebraic_connectivity,
     bipartite_block,
-    bipartite_from_mask,
     block_quantities,
     complement,
     degrees,
@@ -196,14 +196,14 @@ class TestBipartiteBlock:
 
     def test_pattern_shape(self):
         mask = np.array([[1, 0], [1, 1], [0, 0]])
-        blk = bipartite_from_mask(mask)
+        blk = BipartiteSubgraph(mask)
         np.testing.assert_array_equal(blk.pattern, mask.astype(bool))
         assert blk.max_degree() == 2
 
     def test_mask_must_be_2d(self):
         for mask in (np.ones(3, dtype=bool), np.ones((2, 2, 2), dtype=bool)):
             with pytest.raises(ValueError, match="mask must be 2-d"):
-                bipartite_from_mask(mask)
+                BipartiteSubgraph(mask)
 
 
 class TestRandomGraph:

@@ -331,6 +331,14 @@ class TestLoadMatrixCsv:
         _, g2 = load_matrix_csv(mp, kp)
         assert g2 == g
 
+    def test_writer_rejects_short_names(self, tmp_path):
+        # the reader refuses a header of the wrong length, so the writer
+        # refuses to write one
+        p = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="names"):
+            write_matrix_csv(p, SymMatrix(np.eye(2)), names=["a"])
+        assert not p.exists()
+
 
 _ROWS_HEADER = "bucket_lo,bucket_hi,gap,sigma,reps,rate,mean_rescaled\n"
 

@@ -129,6 +129,13 @@ class TestSpectralNorm:
     def test_empty(self):
         assert spectral_norm(np.zeros((0, 3))) == 0.0
 
+    def test_one_dimensional_is_row_vector(self):
+        assert spectral_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="at most 2 dimensions"):
+            spectral_norm(np.ones((2, 2, 2)))
+
 
 def _simplex_grid(h=1e-3):
     n1 = int(round(1.0 / h))

@@ -24,8 +24,6 @@ from spcarec.sdp import DEFAULT_TOL, _witness_window, kkt_report, solve_sdp
 from spcarec.spca import (
     DEFAULT_RHO_GRID,
     _grid,
-    criterion,
-    recover_support,
     rescaled_parameter,
     sufficient_conditions_report,
     theoretical_rho,
@@ -42,27 +40,26 @@ def _rank_one(d, idx, scale=5.0):
 
 
 class TestRecoverSupport:
+    """The support at one penalty, as solve_sdp reports it."""
+
     def test_rank_one_fully_observed(self):
         m = _rank_one(6, [0, 1])
-        support, sol = recover_support(m, 0.1)
+        sol = solve_sdp(m, 0.1)
         assert sol.converged
-        assert support == {0, 1}
-
-    def test_zero_matrix(self):
-        support, _ = recover_support(SymMatrix(np.zeros((4, 4))), 0.3)
-        assert support == frozenset()
+        assert sol.support == {0, 1}
 
     def test_diagonal(self):
-        support, _ = recover_support(SymMatrix(np.diag([3.0, 1.0])), 0.5)
-        assert support == {0}
+        assert solve_sdp(SymMatrix(np.diag([3.0, 1.0])), 0.5).support == {0}
 
 
 class TestCriterion:
+    """The tuning criterion at one penalty: a one-point tune_rho."""
+
     def test_unpenalized_dense(self):
         # at rho = 0 the variance ratio is 1; the identity-like solution is
         # dense, so the sparsity term vanishes
         m = SymMatrix(np.eye(5))
-        assert criterion(m, 0.0, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert tune_rho(m, (0.0,), 0.5).criteria[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_plugin_arithmetic(self):
         from spcarec.spca import _criterion_value
@@ -77,24 +74,17 @@ class TestCriterion:
         noise = 0.3 * rng.standard_normal((10, 10))
         m = SymMatrix(_rank_one(10, [2, 7]).a + noise + noise.T)
         for a in (0.4, 0.5, 0.6):
-            c_rho = criterion(m, 0.3, a)
-            c_zero = criterion(m, 0.0, a)
+            c_rho = tune_rho(m, (0.3,), a).criteria[0]
+            c_zero = tune_rho(m, (0.0,), a).criteria[0]
             assert c_rho > c_zero
 
     def test_degenerate_baseline(self):
         with pytest.raises(DegenerateBaseline):
-            criterion(SymMatrix(np.zeros((3, 3))), 0.1, 0.5)
+            tune_rho(SymMatrix(np.zeros((3, 3))), (0.1,), 0.5)
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
-            criterion(SymMatrix(np.eye(2)), 0.1, 1.0)
-
-    def test_is_one_point_tune_rho(self):
-        rng = np.random.default_rng(12)
-        noise = 0.2 * rng.standard_normal((12, 12))
-        m = SymMatrix(_rank_one(12, [1, 4, 8]).a + noise + noise.T)
-        for rho in (0.0, 0.1, 0.3):
-            assert criterion(m, rho, 0.5) == tune_rho(m, (rho,), 0.5).criteria[0]
+            tune_rho(SymMatrix(np.eye(2)), (0.1,), 1.0)
 
 
 class TestGrid:
