@@ -41,7 +41,7 @@ alone.  The batteries are:
   power iterations computed; the bucketed sampler's tries and the
   complement connectivities they computed; and the tail Monte-Carlo
   trials, by how each was decided: below t by the Frobenius bound, or by
-  SVD.
+  SVD, and the Gaussian entries they drew.
 
 ``perfbench/`` is only read and imported from.  The script exits 1 when
 any solve in any battery stops at max_iter without converging, when any
@@ -205,13 +205,13 @@ class _DiagnoseRecorder:
     call per sampler try, counting the tries and the complement
     connectivities, every ``_connectivity`` call of a try after the
     block's own; and wraps ``bounds._open_trials``, one call per block of
-    tail trials, counting the trials and those the Frobenius bound leaves
-    open for the SVD."""
+    tail trials, counting the trials, those the Frobenius bound leaves
+    open for the SVD and the Gaussian entries the block drew."""
 
     def __init__(self):
         self.itspca = []
         self.steps = self.tries = self.complements = self._connectivities = 0
-        self.tail_trials = self.tail_svd = 0
+        self.tail_trials = self.tail_svd = self.tail_draws = 0
         self._saved = (baselines.itspca, baselines._soft_threshold_arr,
                        graph._in_bucket, graph._connectivity, bounds._open_trials)
 
@@ -247,6 +247,7 @@ class _DiagnoseRecorder:
             open_ = open_trials(block, t)
             self.tail_trials += len(block)
             self.tail_svd += int(open_.sum())
+            self.tail_draws += block.size
             return open_
 
         baselines.itspca = recorded_itspca
@@ -273,7 +274,7 @@ class _DiagnoseRecorder:
             f"{self.complements} complement connectivities computed\n"
             f"tail: {self.tail_trials} diagnose-hard tail trials, "
             f"{self.tail_trials - self.tail_svd} decided by the Frobenius bound, "
-            f"{self.tail_svd} by SVD"
+            f"{self.tail_svd} by SVD, {self.tail_draws} Gaussian entries drawn"
         )
 
 

@@ -98,10 +98,13 @@ def tail_bound_value(m: int, n: int, sigma: float, max_degree: int, t: float) ->
 
 
 def _open_trials(block: np.ndarray, t: float) -> np.ndarray:
-    """Mark the trials of a block (k, m, n) that the Frobenius bound leaves
-    to the SVD; the rest are decided as ||Z||_2 < t.  See
+    """Mark the trials of a block (k, ...) that the Frobenius bound leaves
+    to the SVD; the rest are decided as ||Z||_2 < t.  Each trial's entries
+    are its trailing axes, flattened: the (k, nnz) pattern entries that
+    tail_bound_montecarlo draws, or a (k, m, n) block.  See
     tail_bound_montecarlo for the rule."""
-    fro2 = np.einsum("kij,kij->k", block, block)
+    flat = block.reshape(len(block), -1)
+    fro2 = np.einsum("ki,ki->k", flat, flat)
     return ~((fro2 >= _TAIL_FLOOR) & (np.sqrt(fro2) < t * (1.0 - _TAIL_MARGIN)))
 
 
@@ -119,16 +122,22 @@ def tail_bound_montecarlo(
     makes it the canonical test law.  `holds` allows three binomial
     standard errors on the empirical frequency.  All trials come from one
     generator seeded by `rng_seed`, in blocks of `_TAIL_BLOCK`: one draw
-    per block, scaled by sigma and masked.
+    per block of a (k, nnz) array, the pattern's nnz cells of each trial
+    in row-major order, scaled by sigma.  Cells off the pattern are zero
+    and are not drawn.  For a dense pattern this is the draw of a
+    (k, m, n) block; a pattern with unobserved cells draws fewer values.
+    An all-zero pattern draws nothing: every ||Z||_2 is 0.
 
     Each trial only asks whether ||Z||_2 >= t, and ||Z||_F >= ||Z||_2
     (Golub & Van Loan, Matrix Computations, 2.3).  So `_open_trials`
     counts a trial as below t without an SVD when ||Z||_F < t (1 - eta),
-    and only the trials it leaves open go to one batched SVD, compared
-    with `>= t`.  eta = `_TAIL_MARGIN` = 1e-8 covers rounding: the sum of
-    squares is accurate to about (m n) 2^-53 relative, and LAPACK's
-    largest singular value to a small multiple of max(m, n) 2^-53
-    relative, both below 1e-8 while m n < 9e7 (one trial under 700 MB).
+    reading the norm off the drawn cells alone, and only the trials it
+    leaves open are scattered into zeroed (m, n) matrices for one batched
+    SVD, compared with `>= t`.  eta = `_TAIL_MARGIN` = 1e-8 covers
+    rounding: the sum of squares is accurate to about (m n) 2^-53
+    relative, and LAPACK's largest singular value to a small multiple of
+    max(m, n) 2^-53 relative, both below 1e-8 while m n < 9e7 (one trial
+    under 700 MB).
     A trial whose squared Frobenius norm is below `_TAIL_FLOOR`, where
     underflowed squares could matter, is always left open, and one whose
     sum overflows reads inf, which is never below t.  So every trial
@@ -145,18 +154,20 @@ def tail_bound_montecarlo(
     dmax = s_pattern.max_degree()
     bound = tail_bound_value(m, n, sigma, dmax, t)
 
-    if mask.size == 0:
+    nnz = int(np.count_nonzero(mask))
+    if nnz == 0:
         exceed = trials if 0.0 >= t else 0
     else:
         exceed = 0
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
         for start in range(0, trials, _TAIL_BLOCK):
-            block = rng.standard_normal((min(_TAIL_BLOCK, trials - start), m, n))
+            block = rng.standard_normal((min(_TAIL_BLOCK, trials - start), nnz))
             block *= sigma
-            block[:, ~mask] = 0.0
             open_ = _open_trials(block, t)
             if open_.any():
-                norms = np.linalg.svd(block[open_], compute_uv=False)
+                z = np.zeros((int(np.count_nonzero(open_)), m, n))
+                z[:, mask] = block[open_]
+                norms = np.linalg.svd(z, compute_uv=False)
                 exceed += int(np.count_nonzero(norms[:, 0] >= t))
     empirical = exceed / trials
     se = math.sqrt(empirical * (1.0 - empirical) / trials)

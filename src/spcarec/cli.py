@@ -34,6 +34,8 @@ from .spca import _grid, sufficient_conditions_report, tune_rho
 _EXIT_OK = 0
 _EXIT_PARSE = 2
 _EXIT_NOT_CONVERGED = 3
+# experiment flags that only synthetic mode reads, with its values for them
+_SYNTHETIC_DEFAULTS = {"d": 50, "s": 10, "gap": 10.0}
 
 
 def _fmt_support(support) -> str:
@@ -157,11 +159,18 @@ def _cmd_experiment(args) -> int:
             )
         if args.matrix is not None:
             raise ValueError("--matrix applies only to pitprops mode")
+        d, s, gap = (
+            default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, default in _SYNTHETIC_DEFAULTS.items()
+        )
         rows = run_bucket_experiment(
-            args.d, args.s, args.gap, given.pop("sigma", 0.0), args.budget,
+            d, s, gap, given.pop("sigma", 0.0), args.budget,
             buckets, rng_seed=args.seed, **given,
         )
     else:
+        for flag in _SYNTHETIC_DEFAULTS:
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only to synthetic mode")
         if not args.matrix:
             raise ValueError("--matrix is required for pitprops mode")
         rows = pitprops_experiment(
@@ -278,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("experiment", help="bucketed Monte-Carlo recovery rates")
     e.add_argument("--mode", choices=["synthetic", "pitprops"], required=True)
-    e.add_argument("--d", type=int, default=50)
-    e.add_argument("--s", type=int, default=10)
-    e.add_argument("--gap", type=float, default=10.0)
+    for flag, default in _SYNTHETIC_DEFAULTS.items():
+        e.add_argument(f"--{flag}", type=type(default), default=None,
+                       help=f"synthetic mode only; unset: {default:g}")
     e.add_argument("--sigma", type=float, default=None,
                    help="unset: 0 for synthetic, library default for pitprops")
     e.add_argument("--budget", type=int, default=1250)

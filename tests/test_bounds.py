@@ -203,13 +203,14 @@ class TestTheorem2MonteCarlo:
 def _per_trial_tail_norms(sigma, mask, trials, rng_seed):
     """The per-trial loop kept as the reference for tail_bound_montecarlo's
     blocks: the trials are drawn one after another from one generator, one
-    draw and one SVD per trial.
+    draw of the pattern's cells in row-major order and one SVD per trial.
     Returns every trial's spectral norm; trial k exceeds t if norm >= t."""
     m, n = mask.shape
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     norms = []
     for _ in range(trials):
-        z = np.where(mask, rng.standard_normal((m, n)) * sigma, 0.0)
+        z = np.zeros((m, n))
+        z[mask] = rng.standard_normal(int(mask.sum())) * sigma
         norms.append(np.linalg.svd(z, compute_uv=False)[0] if z.size else 0.0)
     return norms
 
@@ -233,6 +234,11 @@ class TestTailMatchesPerTrialLoop:
     @example(m=3, n=0, density=1.0, sigma=1.0, t=0.5, trials=1001, seed=1)
     @example(m=4, n=5, density=0.0, sigma=1.0, t=0.0, trials=1000, seed=2)
     @example(m=4, n=5, density=0.0, sigma=1.0, t=0.5, trials=1001, seed=3)
+    # no cell is drawn: every norm is 0, which is >= t
+    @example(m=4, n=5, density=0.0, sigma=1.0, t=0.0, trials=_WHOLE_BLOCKS, seed=10)
+    @example(m=4, n=5, density=0.0, sigma=1.0, t=-1.0, trials=1000, seed=11)
+    # row 1 and column 4 of this pattern hold no cell
+    @example(m=4, n=5, density=0.3, sigma=1.0, t=1.0, trials=1000, seed=0)
     # on a single row or column ||Z||_2 = ||Z||_F = the row (column) norm,
     # so the norm bounds are tight and only the screen's margin keeps its
     # decisions equal to the SVD's
@@ -260,6 +266,23 @@ class TestTailMatchesPerTrialLoop:
             assert check.empirical == empirical
             assert check.holds == (empirical <= check.bound + 3.0 * se)
             assert check.trials == trials
+
+    @pytest.mark.parametrize(
+        "m, n, sigma, seed", [(5, 5, 1.0, 8), (1, 8, 0.5, 4), (6, 3, 3.0, 12)]
+    )
+    def test_dense_pattern_keeps_its_stream(self, m, n, sigma, seed):
+        # a dense pattern's row-major draw is the full (m, n) draw, so its
+        # count equals the one from drawing every trial as an (m, n) matrix
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        norms = [
+            np.linalg.svd(rng.standard_normal((m, n)) * sigma, compute_uv=False)[0]
+            for _ in range(1000)
+        ]
+        t = float(np.quantile(norms, 0.9))
+        pattern = BipartiteSubgraph(np.ones((m, n), dtype=bool))
+        check = tail_bound_montecarlo(sigma, pattern, t, 1000, seed)
+        assert 0.0 < check.empirical < 1.0
+        assert check.empirical == sum(norm >= t for norm in norms) / 1000
 
 
 class TestTailScreen:

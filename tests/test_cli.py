@@ -336,6 +336,47 @@ class TestExperiment:
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--d", "7"], "--d"),
+            (["--s", "3"], "--s"),
+            (["--gap", "2"], "--gap"),
+            (["--gap", "2", "--s", "3", "--d", "7"], "--d"),
+        ],
+    )
+    def test_pitprops_rejects_synthetic_flags(
+        self, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("the matrix may not be read")
+
+        monkeypatch.setattr(cli, "pitprops_experiment", fail)
+        argv = [
+            "experiment", "--mode", "pitprops", "--matrix", str(tmp_path / "m.csv"),
+            "--buckets", "0:2", "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {named} applies only to synthetic mode\n"
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unset_synthetic_flags_are_50_10_10(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake(d, s, gap, *args, **kwargs):
+            seen.append((d, s, gap))
+            return []
+
+        monkeypatch.setattr(cli, "run_bucket_experiment", fake)
+        argv = ["experiment", "--mode", "synthetic", "--buckets", "0:2",
+                "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        assert main(argv + ["--d", "12", "--s", "4", "--gap", "8"]) == 0
+        assert main(argv) == 0
+        assert seen == [(50, 10, 10.0), (12, 4, 8.0), (50, 10, 10.0)]
+
     def test_default_grid_is_the_library_grid(self, tmp_path, monkeypatch):
         grids = []
         real = harness.tune_rho
