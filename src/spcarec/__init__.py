@@ -27,11 +27,8 @@ from .graph import (
     adjacency,
     algebraic_connectivity,
     bipartite_block,
-    complement,
-    degrees,
     graph_from_mask,
     induced_subgraph,
-    irregularity,
     random_graph,
     random_graph_bucketed,
 )
@@ -41,7 +38,6 @@ from .harness import (
     emit_csv,
     gen_instance,
     load_matrix_csv,
-    parse_rows_csv,
     pitprops_experiment,
     run_bucket_experiment,
 )
@@ -49,7 +45,6 @@ from .numerics import (
     EigDecomp,
     SymMatrix,
     eigh,
-    project_simplex,
     project_spectrahedron,
     soft_threshold,
     spectral_norm,

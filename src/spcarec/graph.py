@@ -24,10 +24,7 @@ __all__ = [
     "ObservationGraph",
     "BipartiteSubgraph",
     "adjacency",
-    "degrees",
     "algebraic_connectivity",
-    "complement",
-    "irregularity",
     "induced_subgraph",
     "bipartite_block",
     "block_quantities",
@@ -121,11 +118,6 @@ def adjacency(g: ObservationGraph) -> SymMatrix:
     return SymMatrix(g.mask.astype(float))
 
 
-def degrees(g: ObservationGraph) -> np.ndarray:
-    """Number of observed entries per row; a loop counts once."""
-    return g.mask.sum(axis=1)
-
-
 def _loopless_laplacian(mask: np.ndarray) -> np.ndarray:
     # a loop adds 1 to both D_ii and A_ii, so it cancels exactly in D - A
     a = mask.astype(float)
@@ -139,7 +131,12 @@ def _connectivity(mask: np.ndarray) -> float:
 
 
 def _irregularity(mask: np.ndarray, phi: float) -> float:
-    """Irregularity of the graph with bool mask `mask` and connectivity `phi`."""
+    """Irregularity of the graph with bool mask `mask` and connectivity `phi`.
+
+    The max over the graph and its complement ~mask, taken within the
+    pairs including loops, of (max degree - algebraic connectivity).  Undefined (raises IrregularityUndefined) when either
+    difference is negative, e.g. for the complete graph without loops.
+    """
     comp = ~mask
     d1 = float(mask.sum(axis=1).max()) - phi
     d2 = float(comp.sum(axis=1).max()) - _connectivity(comp)
@@ -155,20 +152,6 @@ def algebraic_connectivity(g: ObservationGraph) -> float:
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 nodes")
     return _connectivity(g.mask)
-
-
-def complement(g: ObservationGraph) -> ObservationGraph:
-    """Complement within the full universe of pairs including loops."""
-    return _graph(~g.mask)
-
-
-def irregularity(g: ObservationGraph) -> float:
-    """max over g and its complement of (max degree - algebraic connectivity).
-
-    Undefined (raises IrregularityUndefined) when either difference is
-    negative, e.g. for the complete graph without loops.
-    """
-    return _irregularity(g.mask, algebraic_connectivity(g))
 
 
 def _node_set(n: int, nodes, what: str) -> list[int]:
@@ -208,15 +191,17 @@ def block_quantities(g: ObservationGraph, nodes) -> tuple[float, float]:
     """(algebraic connectivity, irregularity) of the induced block.
 
     A disconnected block returns (0, nan) without attempting the
-    irregularity; callers treat that case separately.  A single-node block
-    is trivially connected and regular: the complete graph with loops on k
-    nodes has connectivity k and irregularity 0, so the k = 1 limit is
-    taken as (1, 0) regardless of whether the loop is observed.
+    irregularity; callers treat that case separately.  A single node with
+    its loop observed is the complete graph with loops on k = 1 nodes,
+    which has connectivity k and irregularity 0, so it returns (1, 0).
+    Without its loop the block observes no entry at all, so it counts as
+    disconnected, (0, nan): with s = 1 the support's row of M* is zero off
+    the diagonal, and an unobserved diagonal leaves nothing to recover.
     """
     nodes = _node_set(g.n, nodes, "node set")
-    if len(nodes) == 1:
-        return 1.0, 0.0
     block = g.mask[np.ix_(nodes, nodes)]
+    if len(nodes) == 1:
+        return (1.0, 0.0) if block[0, 0] else (0.0, float("nan"))
     phi = _connectivity(block)
     if phi <= 0.0:
         return 0.0, float("nan")
@@ -265,8 +250,8 @@ def _in_bucket(block: np.ndarray, ratio_lo: float, ratio_hi: float) -> bool:
     too and every answer is block_quantities' own; only d1 can make psi
     undefined, as the complement's connectivity is <= its Dmax (Fiedler 1973).
     """
-    if block.shape[0] == 1:  # block_quantities takes it as (1, 0)
-        return ratio_lo <= 0.0 < ratio_hi
+    if block.shape[0] == 1:  # (1, 0) with its loop, else disconnected
+        return bool(block[0, 0]) and ratio_lo <= 0.0 < ratio_hi
     phi = _connectivity(block)
     if phi <= 0.0:
         return False

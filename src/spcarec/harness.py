@@ -29,7 +29,6 @@ __all__ = [
     "pitprops_experiment",
     "load_matrix_csv",
     "emit_csv",
-    "parse_rows_csv",
     "write_matrix_csv",
     "write_mask_csv",
     "PITPROPS_VARIABLES",
@@ -101,8 +100,8 @@ def _child_seed(*parts: int) -> int:
 def _check_instance_args(d: int, s: int, gap: float, sigma: float) -> None:
     if not 1 <= s <= d:
         raise ValueError("need 1 <= s <= d")
-    if not gap > 0:
-        raise ValueError("spectral gap must be positive")
+    if not 0 < gap < math.inf:
+        raise ValueError("spectral gap must be positive and finite")
     _check_nonnegative_finite(sigma, "sigma")
 
 
@@ -508,15 +507,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-# one (CSV header, ExperimentRow field, writer, reader) entry per column
+# one (CSV header, ExperimentRow field, writer) entry per column
 _COLUMNS = (
-    ("bucket_lo", "bucket_lo", _fmt, float),
-    ("bucket_hi", "bucket_hi", _fmt, float),
-    ("gap", "spectral_gap", _fmt, float),
-    ("sigma", "sigma", _fmt, float),
-    ("reps", "reps", str, int),
-    ("rate", "exact_recovery_rate", _fmt, float),
-    ("mean_rescaled", "mean_rescaled", _fmt, float),
+    ("bucket_lo", "bucket_lo", _fmt),
+    ("bucket_hi", "bucket_hi", _fmt),
+    ("gap", "spectral_gap", _fmt),
+    ("sigma", "sigma", _fmt),
+    ("reps", "reps", str),
+    ("rate", "exact_recovery_rate", _fmt),
+    ("mean_rescaled", "mean_rescaled", _fmt),
 )
 _ROW_HEADER = [header for header, *_ in _COLUMNS]
 
@@ -528,30 +527,5 @@ def emit_csv(rows, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_ROW_HEADER)
         for r in ordered:
-            writer.writerow([write(getattr(r, f)) for _, f, write, _ in _COLUMNS])
+            writer.writerow([write(getattr(r, f)) for _, f, write in _COLUMNS])
 
-
-def parse_rows_csv(path) -> list[ExperimentRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MatrixParseError("file is empty")
-        if header != _ROW_HEADER:
-            raise MatrixParseError(f"unexpected header {header}")
-        rows = []
-        for i, rec in enumerate(reader):
-            if len(rec) != len(_COLUMNS):
-                raise MatrixParseError(
-                    f"row {i}: expected {len(_COLUMNS)} columns, found {len(rec)}"
-                )
-            fields = {}
-            for j, ((_, f, _, read), tok) in enumerate(zip(_COLUMNS, rec)):
-                try:
-                    fields[f] = read(tok)
-                except ValueError:
-                    raise MatrixParseError(
-                        f"row {i}, column {j}: cannot parse {tok!r}"
-                    ) from None
-            rows.append(ExperimentRow(**fields))
-    return rows

@@ -15,7 +15,6 @@ __all__ = [
     "EigDecomp",
     "eigh",
     "spectral_norm",
-    "project_simplex",
     "project_spectrahedron",
     "soft_threshold",
 ]
@@ -152,21 +151,6 @@ def _simplex_threshold(u: np.ndarray) -> float:
     if theta is None:
         raise ValueError("no simplex threshold: entries too large to project")
     return theta
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
-
-    Sort-based exact algorithm: output entries are nonnegative and sum
-    to 1.  Sorting uses a stable kind so ties are broken by index.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    theta = _simplex_threshold(np.sort(v, kind="stable")[::-1])
-    return np.maximum(v - theta, 0.0)
 
 
 def _project_spectrahedron_arr(b: np.ndarray) -> np.ndarray:

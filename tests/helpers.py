@@ -4,11 +4,18 @@ import numpy as np
 
 from spcarec.graph import ObservationGraph, random_graph_bucketed
 from spcarec.harness import DEFAULT_MAX_TRIES, _child_seed, gen_instance
-from spcarec.numerics import SymMatrix
+from spcarec.numerics import SymMatrix, _simplex_threshold
 
 
 def _complete_with_loops(n):
     return ObservationGraph(n, [(i, j) for i in range(n) for j in range(i, n)])
+
+
+def _project_simplex(v):
+    """Euclidean projection onto the probability simplex, through the
+    threshold the spectrahedron projection applies to the eigenvalues."""
+    v = np.asarray(v, dtype=float)
+    return np.maximum(v - _simplex_threshold(np.sort(v, kind="stable")[::-1]), 0.0)
 
 
 def _random_sym(rng, d):

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, output, exit codes."""
 
 import argparse
+import csv
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +18,15 @@ from spcarec.harness import (
     PITPROPS_VARIABLES,
     gen_instance,
     load_matrix_csv,
-    parse_rows_csv,
     write_matrix_csv,
 )
 from spcarec.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL
 from spcarec.spca import DEFAULT_RHO_GRID
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -58,6 +64,21 @@ class TestGen:
         )
         assert code == 2
         assert "sigma must be a nonnegative finite real" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_gap_exit_code(self, tmp_path, capsys):
+        # used to reach (q * lams) @ q.T and end in a RuntimeWarning
+        out = tmp_path / "g.csv"
+        argv = [
+            "gen", "--d", "4", "--s", "2", "--gap", "inf", "--budget", "10",
+            "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: spectral gap must be positive and finite\n"
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -206,6 +227,29 @@ class TestCertify:
         assert "unavailable" in captured or "rescaled=" in captured
 
 
+    def test_single_node_support_without_its_loop(self, tmp_path, capsys):
+        # M* = diag(5, 0.1, -0.1) with only (0, 0) unobserved: the support
+        # {0} observes no entry, so the five inequalities must not be
+        # reported as holding (they all did, while solve_sdp returned {1})
+        truth = tmp_path / "t.csv"
+        obs = tmp_path / "m.csv"
+        truth.write_text("5,0,0\n0,0.1,0\n0,0,-0.1\n")
+        obs.write_text("NA,0,0\n0,0.1,0\n0,0,-0.1\n")
+        code = main(
+            [
+                "certify", "--truth", str(truth), "--in", str(obs), "--rho",
+                "0.05", "--support", "0",
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "certified: False" in captured
+        assert (
+            "conditions: unavailable (support block of the observation graph "
+            "is disconnected)" in captured
+        )
+        assert "holds" not in captured
+
     @pytest.mark.parametrize("rho, sigma", [("0.5", "-1"), ("inf", "0")])
     def test_bad_rho_or_sigma_exit_code(self, instance_files, capsys, rho, sigma):
         out, truth, mask = instance_files
@@ -241,7 +285,7 @@ class TestExperiment:
             ]
         )
         assert code == 0
-        rows = parse_rows_csv(out)
+        rows = _csv_rows(out)
         assert len(rows) == 2
 
     def test_budget_above_n_squared_exit_code(self, tmp_path, capsys):
@@ -304,7 +348,7 @@ class TestExperiment:
             "--out", str(tmp_path / "r.csv"),
         ]
         assert main(argv + ["--workers", "1"]) == 0
-        assert len(parse_rows_csv(tmp_path / "r.csv")) == 1
+        assert len(_csv_rows(tmp_path / "r.csv")) == 1
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--workers", "2"])
         assert exc.value.code == 2

@@ -22,11 +22,8 @@ from spcarec.graph import (
     algebraic_connectivity,
     bipartite_block,
     block_quantities,
-    complement,
-    degrees,
     graph_from_mask,
     induced_subgraph,
-    irregularity,
     random_graph,
     random_graph_bucketed,
 )
@@ -39,6 +36,21 @@ from helpers import _complete_with_loops
 
 def _path3():
     return ObservationGraph(3, [(0, 1), (1, 2)])
+
+
+def _degrees(g):
+    """Observed entries per row, as the irregularity counts them."""
+    return g.mask.sum(axis=1)
+
+
+def _complement(g):
+    """Complement within the pairs including loops, as the irregularity takes it."""
+    return graph_from_mask(~g.mask)
+
+
+def _irregularity(g):
+    """The irregularity of the whole graph, connected or not."""
+    return graph._irregularity(g.mask, algebraic_connectivity(g))
 
 
 class TestAdjacency:
@@ -58,14 +70,14 @@ class TestAdjacency:
 
 class TestDegrees:
     def test_path(self):
-        np.testing.assert_array_equal(degrees(_path3()), [1, 2, 1])
+        np.testing.assert_array_equal(_degrees(_path3()), [1, 2, 1])
 
     def test_complete_with_loops(self):
-        np.testing.assert_array_equal(degrees(_complete_with_loops(3)), [3, 3, 3])
+        np.testing.assert_array_equal(_degrees(_complete_with_loops(3)), [3, 3, 3])
 
     def test_loop_counts_once(self):
         g = ObservationGraph(2, [(1, 1)])
-        np.testing.assert_array_equal(degrees(g), [0, 1])
+        np.testing.assert_array_equal(_degrees(g), [0, 1])
 
 
 class TestAlgebraicConnectivity:
@@ -95,46 +107,48 @@ class TestAlgebraicConnectivity:
 
 class TestComplement:
     def test_complete_to_empty(self):
-        assert complement(_complete_with_loops(4)) == ObservationGraph(4)
+        assert _complement(_complete_with_loops(4)) == ObservationGraph(4)
 
     def test_empty_to_complete(self):
-        assert complement(ObservationGraph(4)) == _complete_with_loops(4)
+        assert _complement(ObservationGraph(4)) == _complete_with_loops(4)
 
     def test_path_complement(self):
         expected = ObservationGraph(3, [(0, 2), (0, 0), (1, 1), (2, 2)])
-        assert complement(_path3()) == expected
+        assert _complement(_path3()) == expected
 
     def test_involution_and_degree_sum(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 9))
             g = random_graph(n, int(rng.integers(0, n * n + 1)), int(rng.integers(1e6)))
-            assert complement(complement(g)) == g
-            np.testing.assert_array_equal(degrees(g) + degrees(complement(g)),
+            assert _complement(_complement(g)) == g
+            np.testing.assert_array_equal(_degrees(g) + _degrees(_complement(g)),
                                           np.full(n, n))
 
 
 class TestIrregularity:
     def test_complete_with_loops_is_regular_extreme(self):
-        assert irregularity(_complete_with_loops(4)) == pytest.approx(0.0)
+        g = _complete_with_loops(4)
+        assert _irregularity(g) == pytest.approx(0.0)
+        assert block_quantities(g, range(4)) == pytest.approx((4.0, 0.0))
 
     def test_path_oracle(self):
         # derived via the Laplacian spectra of the path and of its complement
         # in the loops-included universe: the graph side gives 2 - 1 = 1, the
         # complement (edge {0,2} plus all loops) is disconnected, giving 2 - 0
         g = _path3()
-        gc = complement(g)
+        gc = _complement(g)
         expected = max(
-            degrees(g).max() - algebraic_connectivity(g),
-            degrees(gc).max() - algebraic_connectivity(gc),
+            _degrees(g).max() - algebraic_connectivity(g),
+            _degrees(gc).max() - algebraic_connectivity(gc),
         )
         assert expected == pytest.approx(2.0)
-        assert irregularity(g) == pytest.approx(2.0)
+        assert _irregularity(g) == pytest.approx(2.0)
 
     def test_complete_without_loops_undefined(self):
         g = ObservationGraph(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(IrregularityUndefined):
-            irregularity(g)
+            block_quantities(g, range(3))
 
     def test_nonnegative_when_defined(self):
         rng = np.random.default_rng(12)
@@ -143,7 +157,7 @@ class TestIrregularity:
             n = int(rng.integers(2, 9))
             g = random_graph(n, int(rng.integers(0, n * n + 1)), int(rng.integers(1e6)))
             try:
-                assert irregularity(g) >= 0.0
+                assert _irregularity(g) >= 0.0
                 checked += 1
             except IrregularityUndefined:
                 pass
@@ -350,8 +364,10 @@ class TestInBucketExits:
             (_PATH3, 1.5, 1.9, 2),  # open: rejected
             (_block(3, [(0, 1), (1, 2), (0, 2)]), -1.0, np.inf, 1),  # d1 = -1
             (_block(3, [(0, 0), (1, 1)]), -1.0, np.inf, 1),  # disconnected
-            (_block(1, []), 0.0, 1.0, 0),  # one node: (1, 0)
+            (_block(1, []), 0.0, 1.0, 0),  # one node without its loop: disconnected
             (_block(1, []), 0.5, 1.0, 0),
+            (_block(1, [(0, 0)]), 0.0, 1.0, 0),  # one node with its loop: (1, 0)
+            (_block(1, [(0, 0)]), 0.5, 1.0, 0),
         ],
     )
     def test_decides_like_block_quantities(
@@ -386,6 +402,24 @@ class TestInBucketExits:
             assert not _in_bucket(block, -np.inf, r)
             checked += 1
         assert checked >= 20
+
+
+class TestSingleNodeBlock:
+    """One node with its loop is connected and regular, (1, 0); without its
+    loop the block observes no entry and counts as disconnected."""
+
+    def test_loop_decides(self):
+        # every pair but (0, 0) observed: the s = 1 case no method can recover
+        pairs = [(i, j) for i in range(3) for j in range(i, 3) if (i, j) != (0, 0)]
+        phi, psi = block_quantities(ObservationGraph(3, pairs), [0])
+        assert phi == 0.0 and math.isnan(psi)
+        loop = ObservationGraph(3, pairs + [(0, 0)])
+        assert block_quantities(loop, [0]) == (1.0, 0.0)
+
+    def test_sampler_keeps_only_observed_loops(self):
+        for seed in range(30):
+            g = random_graph_bucketed(4, 8, [2], 0.0, 1.0, DEFAULT_MAX_TRIES, seed)
+            assert g.mask[2, 2]
 
 
 class TestComplementIrregularityDefined:
@@ -427,7 +461,7 @@ class TestFootnoteSandwich:
             a = adjacency(g).a
             q2 = _ones_complement_basis(n)
             constrained_max = np.linalg.eigvalsh(q2.T @ a @ q2)[-1]
-            deg = degrees(g)
+            deg = _degrees(g)
             diff = deg.max() - algebraic_connectivity(g)
             assert constrained_max <= diff + 1e-8
             assert diff <= constrained_max + deg.max() - deg.min() + 1e-8
@@ -538,7 +572,10 @@ def _ref_bipartite_block(g, left):
 def _ref_block_quantities(g, nodes):
     nodes = sorted(set(int(v) for v in nodes))
     if len(nodes) == 1:
-        return 1.0, 0.0
+        # a single node observes its loop or nothing: (1, 0) or disconnected
+        if (nodes[0], nodes[0]) in g.edges:
+            return 1.0, 0.0
+        return 0.0, float("nan")
     sub = _ref_induced_subgraph(g, nodes)
     phi = _ref_connectivity(sub)
     if phi <= 0.0:
@@ -594,14 +631,14 @@ class TestMatchesEdgeSetReference:
         a = adjacency(g).a
         assert a.dtype == np.float64
         assert a.tobytes() == _ref_adjacency(ref).tobytes()
-        deg = degrees(g)
+        deg = _degrees(g)
         assert deg.dtype == _ref_degrees(ref).dtype
         np.testing.assert_array_equal(deg, _ref_degrees(ref))
         lap_vals = np.linalg.eigvalsh(_loopless_laplacian(g.mask))
         ref_vals = np.linalg.eigvalsh(_ref_loopless_laplacian(ref))
         assert lap_vals.tobytes() == ref_vals.tobytes()
-        _same_edges(complement(g), _ref_complement(ref))
-        np.testing.assert_array_equal(deg + degrees(complement(g)), np.full(n, n))
+        _same_edges(_complement(g), _ref_complement(ref))
+        np.testing.assert_array_equal(deg + _degrees(_complement(g)), np.full(n, n))
 
         nodes = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         _same_edges(induced_subgraph(g, nodes), _ref_induced_subgraph(ref, nodes))
@@ -688,7 +725,7 @@ class TestMaskReadOnly:
         [
             lambda: ObservationGraph(3, [(0, 1)]),
             lambda: random_graph(5, 12, 1),
-            lambda: complement(ObservationGraph(3, [(0, 1)])),
+            lambda: random_graph_bucketed(6, 20, [0, 1], 0.0, np.inf, 100, 1),
             lambda: induced_subgraph(random_graph(5, 12, 1), [0, 2, 3]),
             lambda: graph_from_mask(np.eye(3)),
         ],

@@ -10,13 +10,12 @@ from spcarec.numerics import (
     EigDecomp,
     SymMatrix,
     eigh,
-    project_simplex,
     project_spectrahedron,
     soft_threshold,
     spectral_norm,
 )
 
-from helpers import _random_sym
+from helpers import _project_simplex, _random_sym
 
 
 class TestSymMatrix:
@@ -147,15 +146,18 @@ def _simplex_grid(h=1e-3):
 
 
 class TestProjectSimplex:
+    """The simplex projection project_spectrahedron applies to the
+    eigenvalues, through its threshold _simplex_threshold."""
+
     def test_already_feasible(self):
-        np.testing.assert_allclose(project_simplex([0.5, 0.5]), [0.5, 0.5])
+        np.testing.assert_allclose(_project_simplex([0.5, 0.5]), [0.5, 0.5])
 
     def test_single_active(self):
-        np.testing.assert_allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
+        np.testing.assert_allclose(_project_simplex([2.0, 0.0]), [1.0, 0.0])
 
     def test_three_vector(self):
         np.testing.assert_allclose(
-            project_simplex([0.8, 0.6, -0.2]), [0.6, 0.4, 0.0], atol=1e-12
+            _project_simplex([0.8, 0.6, -0.2]), [0.6, 0.4, 0.0], atol=1e-12
         )
 
     def test_against_grid_search(self):
@@ -163,7 +165,7 @@ class TestProjectSimplex:
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.uniform(-1.5, 1.5, size=3)
-            proj = project_simplex(v)
+            proj = _project_simplex(v)
             best = grid[np.argmin(((grid - v) ** 2).sum(axis=1))]
             assert np.abs(proj - best).max() <= 2e-3
 
@@ -171,18 +173,18 @@ class TestProjectSimplex:
         rng = np.random.default_rng(7)
         for _ in range(50):
             v = rng.uniform(-5, 5, size=int(rng.integers(1, 12)))
-            p = project_simplex(v)
+            p = _project_simplex(v)
             assert p.min() >= 0
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_beyond_float_resolution_rejected(self):
         # u_1 - (u_1 - 1) rounds to 0, so no threshold exists in floating point
         with pytest.raises(ValueError):
-            project_simplex([1e20, 0.0])
+            _project_simplex([1e20, 0.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            project_simplex(np.array([]))
+            _project_simplex(np.array([]))
 
 
 class TestProjectSpectrahedron:

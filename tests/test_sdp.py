@@ -14,7 +14,6 @@ from spcarec.numerics import (
     SymMatrix,
     _eigh_descending,
     eigh,
-    project_simplex,
     project_spectrahedron,
 )
 from spcarec.spca import DEFAULT_RHO_GRID, tune_rho
@@ -33,7 +32,13 @@ from spcarec.sdp import (
     witness_certificate,
 )
 
-from helpers import _complete_with_loops, _experiment_matrix, _random_sym, _simple_top
+from helpers import (
+    _complete_with_loops,
+    _experiment_matrix,
+    _project_simplex,
+    _random_sym,
+    _simple_top,
+)
 
 
 # Reference implementations: the straightforward forms of the projections,
@@ -632,7 +637,7 @@ class TestProjectionProperties:
         )
     )
     def test_simplex_projection(self, v):
-        w = project_simplex(v)
+        w = _project_simplex(v)
         assert _same_bytes(w, _reference_project_simplex(v))
         assert np.all(w >= 0.0)
         scale = max(1.0, float(np.abs(v).max()))

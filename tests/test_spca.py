@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spcarec import spca
-from spcarec.errors import DegenerateBaseline, Disconnected
+from spcarec.errors import DegenerateBaseline, Disconnected, IrregularityUndefined
 from spcarec.graph import (
     ObservationGraph,
     adjacency,
     bipartite_block,
-    degrees,
+    graph_from_mask,
     induced_subgraph,
     random_graph,
 )
@@ -327,7 +327,7 @@ class TestTheoreticalRho:
         support = [1, 4, 6]
         comp = [i for i in range(d) if i not in support]
         d_cross = bipartite_block(g, support).max_degree()
-        d_cc = degrees(induced_subgraph(g, comp)).max()
+        d_cc = induced_subgraph(g, comp).mask.sum(axis=1).max()
         sigma = 0.7
         expected = 2 * sigma * math.sqrt(max(d_cross, d_cc) * math.log(d)) + np.abs(
             m_star.a[np.ix_(comp, support)]
@@ -381,7 +381,7 @@ class TestRescaledParameter:
 
     def test_term_by_term_recomputation(self):
         from spcarec.harness import gen_instance
-        from spcarec.graph import algebraic_connectivity, irregularity
+        from spcarec.graph import algebraic_connectivity
 
         g = random_graph(50, 1250, 60)
         inst = gen_instance(50, 10, 5.0, 0.0, g, 61)
@@ -389,7 +389,14 @@ class TestRescaledParameter:
         comp = np.asarray([i for i in range(50) if i not in inst.support])
         sub = induced_subgraph(g, idx)
         phi = algebraic_connectivity(sub)
-        psi = irregularity(sub)
+        # irregularity: max over sub and its loops-included complement of
+        # (max degree - algebraic connectivity)
+        sub_c = graph_from_mask(~sub.mask)
+        psi = max(
+            sub.mask.sum(axis=1).max() - phi,
+            sub_c.mask.sum(axis=1).max() - algebraic_connectivity(sub_c),
+            0.0,
+        )
         s = 10
         sigma = 0.3
 
@@ -401,7 +408,7 @@ class TestRescaledParameter:
         a = inst.m_star.a
         lhs = (
             snorm(a[np.ix_(idx, idx)]) * psi
-            + sigma * math.sqrt(degrees(sub).max() * math.log(s))
+            + sigma * math.sqrt(sub.mask.sum(axis=1).max() * math.log(s))
             + s * snorm(a[np.ix_(comp, idx)])
             + snorm(a[np.ix_(comp, comp)]) / math.sqrt(s)
             + sigma
@@ -409,7 +416,7 @@ class TestRescaledParameter:
             * math.sqrt(
                 max(
                     bipartite_block(g, idx).max_degree(),
-                    degrees(induced_subgraph(g, comp)).max(),
+                    induced_subgraph(g, comp).mask.sum(axis=1).max(),
                 )
                 * math.log(50)
             )
@@ -554,3 +561,77 @@ class TestSufficientConditionsReport:
         for rec in by_name.values():
             assert rec.lhs == 0.0
             assert rec.holds
+
+    def test_single_node_support_without_its_loop(self):
+        # the support {0} observes no entry: its row of the observed matrix
+        # is zero, and solve_sdp picks the next diagonal entry instead
+        m_star = SymMatrix(np.diag([5.0, 0.1, -0.1]))
+        pairs = [(i, j) for i in range(3) for j in range(i, 3) if (i, j) != (0, 0)]
+        g = ObservationGraph(3, pairs)
+        assert solve_sdp(SymMatrix(g.mask * m_star.a), 0.05).support == {1}
+        with pytest.raises(Disconnected, match="support block .* is disconnected"):
+            sufficient_conditions_report(m_star, g, 0.0, 0.05, [0])
+        with pytest.raises(Disconnected):
+            rescaled_parameter(m_star, g, 0.0, [0])
+        loop = ObservationGraph(3, pairs + [(0, 0)])
+        assert sufficient_conditions_report(m_star, loop, 0.0, 0.05, [0]).all_hold
+        assert solve_sdp(SymMatrix(loop.mask * m_star.a), 0.05).support == {0}
+
+
+# the battery's seed and draw count, fixed before its first run
+_THEOREM_SEED = 2023
+_THEOREM_DRAWS = 5000
+
+
+def _theorem_draw(rng):
+    """One noiseless instance: (M*, graph, support, rho).
+
+    d in 5..15 and s in 1..4; u1 supported exactly on J with random signs
+    and magnitudes; a gap from U(2, 50) over trailing eigenvalues
+    N(0, 1) * 10^U(-3, 0); a random graph observing 60-100 % of the d^2
+    entries; and rho = theoretical_rho * U(1.01, 3) + 1e-6.
+    """
+    d = int(rng.integers(5, 16))
+    s = int(rng.integers(1, 5))
+    support = np.sort(rng.choice(d, size=s, replace=False))
+    u = np.zeros(d)
+    u[support] = rng.choice([-1.0, 1.0], size=s) * rng.uniform(0.2, 1.0, size=s)
+    u /= np.linalg.norm(u)
+    q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((d, d - 1))]))
+    q[:, 0] = u
+    rest = rng.standard_normal(d - 1) * 10.0 ** rng.uniform(-3.0, 0.0)
+    lams = np.concatenate([[rest.max() + rng.uniform(2.0, 50.0)], rest])
+    m_star = SymMatrix((q * lams) @ q.T)
+    budget = int(rng.integers(math.ceil(0.6 * d * d), d * d + 1))
+    g = random_graph(d, budget, int(rng.integers(2**32)))
+    rho = theoretical_rho(m_star, g, 0.0, support) * rng.uniform(1.01, 3.0) + 1e-6
+    return m_star, g, support, rho
+
+
+class TestMainTheoremNoiseless:
+    """The paper's main result at sigma = 0: wherever the five recovery
+    inequalities hold, the SDP on the observed entries recovers the support
+    exactly.  Single-node supports whose loop is unobserved stay in the
+    family; the report must exclude them itself."""
+
+    def test_all_hold_implies_exact_recovery(self):
+        rng = np.random.default_rng(_THEOREM_SEED)
+        held = unobserved_singletons = 0
+        misses = []
+        for draw in range(_THEOREM_DRAWS):
+            m_star, g, support, rho = _theorem_draw(rng)
+            if support.size == 1 and not g.mask[support[0], support[0]]:
+                unobserved_singletons += 1
+            try:
+                report = sufficient_conditions_report(m_star, g, 0.0, rho, support)
+            except (Disconnected, IrregularityUndefined):
+                continue
+            if not report.all_hold:
+                continue
+            held += 1
+            sol = solve_sdp(SymMatrix(g.mask * m_star.a), rho)
+            if not sol.converged or sol.support != frozenset(support.tolist()):
+                misses.append((draw, m_star.dim, support.tolist(), sol.converged))
+        assert misses == []
+        assert held >= 2000
+        assert unobserved_singletons > 0
