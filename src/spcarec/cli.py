@@ -152,11 +152,6 @@ def _cmd_experiment(args) -> int:
             raise ValueError("give --grid-start, --grid-stop and --grid-step together")
         given["rho_grid"] = _grid(*grid_flags)
     if args.mode == "synthetic":
-        if args.method != "sdp":
-            raise ValueError(
-                f"--method {args.method} applies only to pitprops mode; "
-                "synthetic mode runs sdp"
-            )
         if args.matrix is not None:
             raise ValueError("--matrix applies only to pitprops mode")
         d, s, gap = (
@@ -165,7 +160,7 @@ def _cmd_experiment(args) -> int:
         )
         rows = run_bucket_experiment(
             d, s, gap, given.pop("sigma", 0.0), args.budget,
-            buckets, rng_seed=args.seed, **given,
+            buckets, rng_seed=args.seed, method=args.method, **given,
         )
     else:
         for flag in _SYNTHETIC_DEFAULTS:

@@ -171,9 +171,9 @@ def _observe(
 class _Spec:
     """What every repetition of one experiment shares.
 
-    `score` maps an instance to one exact-recovery flag per value of the
-    method's tuning grid; a fixed `m_star` and `support` replace the
-    per-repetition planted instance.
+    `method` names the `_METHODS` entry that maps an instance to one
+    exact-recovery flag per value of its tuning grid; a fixed `m_star`
+    and `support` replace the per-repetition planted instance.
     """
 
     d: int
@@ -184,7 +184,7 @@ class _Spec:
     reps: int
     rng_seed: int
     max_tries: int
-    score: Callable[[ProblemInstance, _Spec], tuple[bool, ...]]
+    method: str
     rho_grid: tuple
     a: float
     m_star: SymMatrix | None = None
@@ -248,7 +248,7 @@ def _rep_task(spec: _Spec, bucket_idx: int, bucket: tuple[float, float], rep: in
         rng = np.random.default_rng(np.random.SeedSequence(inst_seed))
         inst = _observe(spec.m_star, support, spec.sigma, graph, rng)
     rescaled = rescaled_parameter(inst.m_star, graph, spec.sigma, inst.support)
-    return spec.score(inst, spec), rescaled
+    return _METHODS[spec.method](inst, spec), rescaled
 
 
 def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
@@ -256,7 +256,11 @@ def _run_buckets(spec: _Spec, buckets) -> list[ExperimentRow]:
         raise ValueError("reps must be at least 1")
     # a bucket that exhausts its rejection budget draws no instance and
     # tunes nothing, so the inputs are checked here, before the first draw
+    if spec.method not in _METHODS:
+        raise ValueError(f"unknown method {spec.method!r}")
     _check_instance_args(spec.d, spec.s, spec.gap, spec.sigma)
+    if spec.d < 2:  # rescaled_parameter divides by the truth's gap
+        raise ValueError("need dimension at least 2 for a spectral gap")
     _checked_grid(spec.rho_grid, spec.a)
     buckets = list(buckets)
     for lo, hi in buckets:
@@ -301,18 +305,26 @@ def run_bucket_experiment(
     a: float = 0.5,
     rng_seed: int = 0,
     max_tries: int = DEFAULT_MAX_TRIES,
+    method: str = "sdp",
 ) -> list[ExperimentRow]:
     """Monte-Carlo recovery rates over irregularity/connectivity buckets.
 
     Per repetition: draw a support, rejection-sample an observation graph
-    whose support block lands in the bucket, generate the instance, tune
-    the penalty on the criterion, and score exact support recovery
-    (set equality, no partial credit).  A bucket that exhausts its
-    rejection budget yields a row marked skipped with NaN rate.
+    whose support block lands in the bucket, generate the instance, run
+    `method` and score exact support recovery (set equality, no partial
+    credit).  A bucket that exhausts its rejection budget yields a row
+    marked skipped with NaN rate.
+
+    `method` is a `_METHODS` key: `sdp` picks ρ from `rho_grid` by the
+    criterion with weight `a`, and `mc_sdp` does so on the nuclear-norm
+    completion.  The thresholding baselines are scored with an oracle
+    advantage over these two: `dtspca` keeps the true s coordinates, and
+    `itspca`'s rate is the best over the 0.05-step thresholds to 1.0 of
+    the per-threshold rate.
     """
     spec = _Spec(
         d=d, s=s, gap=gap, sigma=sigma, budget=budget, reps=reps,
-        rng_seed=rng_seed, max_tries=max_tries, score=_sdp_recoveries,
+        rng_seed=rng_seed, max_tries=max_tries, method=method,
         rho_grid=rho_grid, a=a,
     )
     return _run_buckets(spec, buckets)
@@ -335,33 +347,25 @@ def pitprops_experiment(
     The loaded matrix is the fixed ground truth; missingness and noise are
     synthesized per repetition.  The true support is the classical
     six-variable set, located by name when the file has a header row and
-    by the standard variable ordering otherwise.  For the thresholding
-    baselines the rate reported per bucket is the best over their tuning
-    grid, mirroring how such methods are usually scored.
+    by the standard variable ordering otherwise.  `method`, the grid,
+    `a`, `reps` and `sigma` mean what they mean for
+    `run_bucket_experiment`.
     """
-    score = _METHODS.get(method)
-    if score is None:
-        raise ValueError(f"unknown method {method!r}")
     m_star, graph, names = _load_matrix(matrix_path, None)
     if m_star.dim != 13:
         raise MatrixParseError(f"expected a 13x13 matrix, got {m_star.dim}")
     if not graph.mask.all():
         raise MatrixParseError("pitprops matrix must be complete (no NA cells)")
-    if names is not None:
-        lowered = [n.lower() for n in names]
-        missing = [v for v in PITPROPS_SUPPORT_NAMES if v not in lowered]
-        if missing:
-            raise MatrixParseError(f"header lacks expected variables: {missing}")
-        support = tuple(lowered.index(v) for v in PITPROPS_SUPPORT_NAMES)
-    else:
-        support = tuple(
-            PITPROPS_VARIABLES.index(v) for v in PITPROPS_SUPPORT_NAMES
-        )
+    lowered = PITPROPS_VARIABLES if names is None else [n.lower() for n in names]
+    missing = [v for v in PITPROPS_SUPPORT_NAMES if v not in lowered]
+    if missing:
+        raise MatrixParseError(f"header lacks expected variables: {missing}")
+    support = tuple(sorted(lowered.index(v) for v in PITPROPS_SUPPORT_NAMES))
     spec = _Spec(
         d=13, s=len(support), gap=_spectral_gap(m_star), sigma=sigma,
         budget=budget, reps=reps, rng_seed=rng_seed, max_tries=max_tries,
-        score=score, rho_grid=rho_grid, a=a,
-        m_star=m_star, support=tuple(sorted(support)),
+        method=method, rho_grid=rho_grid, a=a,
+        m_star=m_star, support=support,
     )
     return _run_buckets(spec, buckets)
 

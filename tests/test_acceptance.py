@@ -28,7 +28,6 @@ from spcarec.harness import (
     pitprops_experiment,
     run_bucket_experiment,
     _rep_task,
-    _sdp_recoveries,
     _Spec,
 )
 from spcarec.numerics import SymMatrix, eigh
@@ -380,7 +379,7 @@ def test_10_determinism_across_schedules(tmp_path):
     emit_csv(run_bucket_experiment(**kwargs), p2)
     spec = _Spec(
         d=20, s=4, gap=8.0, sigma=0.1, budget=200, reps=4, rng_seed=2030,
-        max_tries=DEFAULT_MAX_TRIES, score=_sdp_recoveries,
+        max_tries=DEFAULT_MAX_TRIES, method="sdp",
         rho_grid=(0.1, 0.3, 0.6), a=0.5,
     )
     keys = [(b, bucket, rep) for b, bucket in enumerate(buckets) for rep in range(4)]

@@ -353,16 +353,22 @@ class TestExperiment:
             main(argv + ["--workers", "2"])
         assert exc.value.code == 2
 
-    def test_synthetic_rejects_other_methods(self, tmp_path, capsys):
+    def test_synthetic_runs_every_method(self, tmp_path):
         argv = [
             "experiment", "--mode", "synthetic", "--d", "12", "--s", "4",
-            "--gap", "8", "--budget", "100", "--buckets", "0:2", "--reps", "1",
-            "--out", str(tmp_path / "r.csv"),
+            "--gap", "8", "--sigma", "0.5", "--budget", "100", "--buckets", "2:5",
+            "--reps", "2", "--seed", "1",
+            "--grid-start", "0.1", "--grid-stop", "0.6", "--grid-step", "0.25",
         ]
-        for method in ("dtspca", "itspca", "mc_sdp"):
-            assert main(argv + ["--method", method]) == 2
-            assert "synthetic mode runs sdp" in capsys.readouterr().err
-        assert not (tmp_path / "r.csv").exists()
+        out = {}
+        for method in [None, *_METHODS]:
+            path = tmp_path / f"{method}.csv"
+            given = ["--method", method] if method else []
+            assert main(argv + given + ["--out", str(path)]) == 0
+            out[method] = path.read_bytes()
+        assert out[None] == out["sdp"]
+        # dtspca misses both repetitions that sdp recovers
+        assert out["dtspca"] != out["sdp"]
 
     def test_synthetic_rejects_matrix(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -506,21 +512,24 @@ class TestExperiment:
             argv += ["--matrix", "p.csv"]
         assert main(argv) == 0
         assert not seen.keys() & {"reps", "rho_grid", "a", "sigma"}
+        # --method has a CLI default, which reaches either runner
+        assert seen["method"] == "sdp"
         given = [
-            "--reps", "3", "--a", "0.3", "--sigma", "0.2",
+            "--reps", "3", "--a", "0.3", "--sigma", "0.2", "--method", "itspca",
             "--grid-start", "0.1", "--grid-stop", "0.4", "--grid-step", "0.15",
         ]
         assert main(argv + given) == 0
         if mode == "pitprops":
             # synthetic mode passes sigma positionally
             assert seen.pop("sigma") == 0.2
-        assert {k: seen[k] for k in ("reps", "rho_grid", "a")} == {
-            "reps": 3, "rho_grid": (0.1, 0.25, 0.4), "a": 0.3,
+        assert {k: seen[k] for k in ("reps", "rho_grid", "a", "method")} == {
+            "reps": 3, "rho_grid": (0.1, 0.25, 0.4), "a": 0.3, "method": "itspca",
         }
         # and back: main reuses one parser, which must not remember the flags
         seen.clear()
         assert main(argv) == 0
         assert not seen.keys() & {"reps", "rho_grid", "a", "sigma"}
+        assert seen["method"] == "sdp"
 
     def test_unset_a_is_the_library_default(self, tmp_path):
         # on this case a = 0.4, 0.5 and 0.6 give rates 1, 0.75 and 0.5

@@ -23,8 +23,8 @@ from spcarec.harness import (
     write_mask_csv,
     write_matrix_csv,
     _read_rows,
+    _METHODS,
     _rep_task,
-    _sdp_recoveries,
     _Spec,
 )
 from spcarec.numerics import SymMatrix, eigh
@@ -146,6 +146,17 @@ class TestRunBucketExperiment:
         with pytest.raises(ValueError, match=message):
             run_bucket_experiment(**{**kwargs, **bad})
 
+    @pytest.mark.parametrize("bucket", [(1.0, 2.0), (0.0, 2.0)], ids=["1:2", "0:2"])
+    def test_one_dimension_rejected_before_sampling(self, monkeypatch, bucket):
+        # d = 1 has no spectral gap; the first bucket used to end in a
+        # skipped row and the second to raise only after a graph draw
+        def fail(*args):
+            raise AssertionError("no draw may start")
+
+        monkeypatch.setattr(harness, "random_graph_bucketed", fail)
+        with pytest.raises(ValueError, match="need dimension at least 2"):
+            run_bucket_experiment(1, 1, 3.0, 0.0, 1, [bucket], reps=1, max_tries=5)
+
     def test_every_bucket_checked_before_the_first_draw(self, monkeypatch):
         # the third bucket is empty; it used to raise only after the first
         # two had run all their repetitions
@@ -172,6 +183,30 @@ class TestRunBucketExperiment:
             "46c45d2597ba766f117de27aaad85e7c0092c5ed91e8c03ed62247279f23953d"
         )
 
+    def test_every_method_pinned(self, tmp_path):
+        # SHA-256 of the emitted CSV per method, recorded when synthetic
+        # mode first ran the baselines; sdp's equals the bytes of a run
+        # that names no method
+        pinned = {
+            "sdp": "f1fe4345c2d80f0b0ffec79908851f152646c045fe5046762afaa6028a8b4f8e",
+            "mc_sdp": "598b93a52ea8a8a4ca1aa3a55e220cd058e3e617f70b053e85457fa723d6e30d",
+            "dtspca": "4844e35dd690a562248381bc6808ae72d29cda2a373cca42c457e4a67983edd2",
+            "itspca": "f1fe4345c2d80f0b0ffec79908851f152646c045fe5046762afaa6028a8b4f8e",
+        }
+        assert list(pinned) == list(_METHODS)
+        kwargs = dict(
+            d=12, s=4, gap=8.0, sigma=0.5, budget=100, buckets=[(2.0, 5.0)],
+            reps=2, rho_grid=(0.1, 0.3, 0.6), a=0.5, rng_seed=1,
+        )
+        assert _csv_sha256(run_bucket_experiment(**kwargs), tmp_path) == pinned["sdp"]
+        rescaled = set()
+        for method, digest in pinned.items():
+            rows = run_bucket_experiment(**kwargs, method=method)
+            # every method scores the same draws
+            rescaled.add(rows[0].mean_rescaled)
+            assert _csv_sha256(rows, tmp_path) == digest, method
+        assert len(rescaled) == 1
+
     def test_repetitions_share_no_state(self, tmp_path):
         # every (bucket, rep) result must not depend on which repetitions
         # ran before it, and a second run must give the same bytes
@@ -182,7 +217,7 @@ class TestRunBucketExperiment:
         )
         spec = _Spec(
             d=12, s=4, gap=8.0, sigma=0.1, budget=100, reps=4, rng_seed=7,
-            max_tries=DEFAULT_MAX_TRIES, score=_sdp_recoveries,
+            max_tries=DEFAULT_MAX_TRIES, method="sdp",
             rho_grid=(0.1, 0.3, 0.6), a=0.5,
         )
         keys = [(b, bucket, rep) for b, bucket in enumerate(kwargs["buckets"])
@@ -433,16 +468,6 @@ class TestPitpropsExperiment:
             assert 0.0 <= rows[0].exact_recovery_rate <= 1.0
             assert _csv_sha256(rows, tmp_path) == digest, method
 
-    def test_unknown_method_rejected_before_sampling(self, tmp_path):
-        # the bucket is unreachable, so any graph draw would end in a
-        # skipped row instead of the error
-        path = _synthetic_pitprops(tmp_path)
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            pitprops_experiment(
-                path, budget=100, buckets=[(-5.0, 0.0)], reps=1, max_tries=3,
-                method="bogus",
-            )
-
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -480,3 +505,16 @@ class TestPitpropsExperiment:
         p = _write(tmp_path, "m.csv", "1,0\n0,1\n")
         with pytest.raises(MatrixParseError, match="13"):
             pitprops_experiment(p, budget=4, buckets=[(0.0, 5.0)], reps=1)
+
+
+@pytest.mark.parametrize("runner", ["synthetic", "pitprops"])
+def test_unknown_method_rejected_before_sampling(tmp_path, runner):
+    # the bucket is unreachable, so any graph draw would end in a
+    # skipped row instead of the error
+    kwargs = dict(budget=100, buckets=[(-5.0, 0.0)], reps=1, max_tries=3,
+                  method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        if runner == "synthetic":
+            run_bucket_experiment(d=13, s=6, gap=2.0, sigma=0.1, **kwargs)
+        else:
+            pitprops_experiment(_synthetic_pitprops(tmp_path), **kwargs)
